@@ -269,6 +269,12 @@ impl Circuit {
         self.instructions.reserve(additional);
     }
 
+    /// Drops spare instruction capacity (e.g. the compile path's up-front
+    /// routing headroom) before a circuit is stored long-term.
+    pub fn shrink_to_fit(&mut self) {
+        self.instructions.shrink_to_fit();
+    }
+
     /// The number of instructions the circuit can hold without
     /// reallocating.
     pub fn capacity(&self) -> usize {

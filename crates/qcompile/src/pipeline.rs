@@ -250,12 +250,14 @@ impl CompiledCircuit {
     /// content, layouts, swap count and parametric-gate behavior are
     /// identical to the original.
     pub fn from_recovered_parts(
-        physical: Circuit,
-        basis: Circuit,
+        mut physical: Circuit,
+        mut basis: Circuit,
         initial_layout: Layout,
         final_layout: Layout,
         swap_count: usize,
     ) -> CompiledCircuit {
+        physical.shrink_to_fit();
+        basis.shrink_to_fit();
         let trace = PassTrace::new();
         let basis_depth = basis.depth();
         let explain = Explain::from_parts(
@@ -735,7 +737,8 @@ fn compile_once(
     check_pass_budget(options, enforce_budgets, mapping_pass.name(), elapsed)?;
     cancel.check()?;
 
-    let (physical, final_layout, swap_count, layers) = match options.compilation.routing_stage() {
+    let (mut physical, final_layout, swap_count, layers) = match options.compilation.routing_stage()
+    {
         RoutingStage::Full => {
             let ordering = options
                 .compilation
@@ -840,7 +843,7 @@ fn compile_once(
     cancel.check()?;
 
     let pass = run.child("lower-to-basis");
-    let basis = to_basis(&physical, BasisSet::Ibm)
+    let mut basis = to_basis(&physical, BasisSet::Ibm)
         .map_err(|e| CompileError::BasisLowering(e.to_string()))?;
     // Depth is an O(gates) walk; compute it once for the pass trace, the
     // telemetry gauge and the explain report.
@@ -871,6 +874,10 @@ fn compile_once(
         basis.count_gate("cx"),
     );
 
+    // Artifacts outlive the compile (caches hold them): drop the routing
+    // headroom reserved up front.
+    physical.shrink_to_fit();
+    basis.shrink_to_fit();
     let parametric_gates = physical
         .iter()
         .chain(basis.iter())

@@ -63,7 +63,7 @@ pub use cache::{spec_fingerprint, CacheKey};
 pub use deadline::{BackoffConfig, QuarantineReason};
 pub use ops::{
     lifecycle_manifest, render_journal, render_lifecycle, JournalEvent, OpsConfig, RequestTrace,
-    Stage,
+    Stage, Stages,
 };
 pub use service::{
     Outcome, Request, Response, ServeError, Service, ServiceConfig, ServiceStats, Ticket,

@@ -31,6 +31,7 @@
 //!   lines by [`render_journal`].
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -147,7 +148,69 @@ pub struct RequestTrace {
     /// Cache-key fingerprint of the requested configuration.
     pub key_fp: u64,
     /// `(stage, tick)` transitions in the order they were recorded.
-    pub stages: Vec<(Stage, u64)>,
+    pub stages: Stages,
+}
+
+/// Most transitions one lifecycle records: admitted, queued, dispatched
+/// and one terminal.
+const MAX_STAGES: usize = 4;
+
+/// A request's `(stage, tick)` transitions, stored inline (ticks and
+/// stages packed apart) so a lifecycle record owns no heap allocation.
+/// A lifecycle never records more than four; debug builds assert it,
+/// release builds drop the excess.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Stages {
+    ticks: [u64; MAX_STAGES],
+    stages: [Stage; MAX_STAGES],
+    len: u8,
+}
+
+impl Stages {
+    fn push(&mut self, stage: Stage, tick: u64) {
+        let i = usize::from(self.len);
+        debug_assert!(i < MAX_STAGES, "lifecycle overflow: {self:?} + {stage:?}");
+        if i < MAX_STAGES {
+            self.stages[i] = stage;
+            self.ticks[i] = tick;
+            self.len += 1;
+        }
+    }
+
+    /// The transitions in recording order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Stage, u64)> + '_ {
+        let len = usize::from(self.len);
+        self.stages[..len]
+            .iter()
+            .copied()
+            .zip(self.ticks[..len].iter().copied())
+    }
+}
+
+impl Default for Stages {
+    fn default() -> Self {
+        Stages {
+            ticks: [0; MAX_STAGES],
+            stages: [Stage::Admitted; MAX_STAGES],
+            len: 0,
+        }
+    }
+}
+
+impl fmt::Debug for Stages {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<(Stage, u64)> for Stages {
+    fn from_iter<I: IntoIterator<Item = (Stage, u64)>>(iter: I) -> Self {
+        let mut stages = Stages::default();
+        for (stage, tick) in iter {
+            stages.push(stage, tick);
+        }
+        stages
+    }
 }
 
 impl RequestTrace {
@@ -156,7 +219,7 @@ impl RequestTrace {
         self.stages
             .iter()
             .rev()
-            .map(|&(s, _)| s)
+            .map(|(s, _)| s)
             .find(|s| s.is_terminal())
     }
 
@@ -222,8 +285,8 @@ impl LifecycleLog {
             self.dropped += 1;
             return;
         }
-        let mut stages = Vec::with_capacity(4);
-        stages.push((Stage::Admitted, tick));
+        let mut stages = Stages::default();
+        stages.push(Stage::Admitted, tick);
         self.records.push(RequestTrace {
             id,
             tenant,
@@ -244,7 +307,7 @@ impl LifecycleLog {
         };
         if let Some(record) = self.records.get_mut(idx as usize) {
             if record.id == id {
-                record.stages.push((stage, tick));
+                record.stages.push(stage, tick);
             }
         }
     }
@@ -629,7 +692,7 @@ pub fn lifecycle_manifest(name: &str, traces: &[RequestTrace]) -> Manifest {
     let mut paths: BTreeMap<&'static str, Arc<str>> = BTreeMap::new();
     let mut manifest = Manifest::empty(name);
     for trace in traces {
-        for &(stage, tick) in &trace.stages {
+        for (stage, tick) in trace.stages.iter() {
             let path = paths
                 .entry(stage.label())
                 .or_insert_with(|| Arc::from(format!("qserve/{}", stage.label())));
@@ -670,7 +733,7 @@ mod tests {
         assert_eq!(traces[0].terminal(), Some(Stage::Completed));
         assert_eq!(traces[0].terminal_count(), 1);
         assert_eq!(
-            traces[0].stages,
+            traces[0].stages.iter().collect::<Vec<_>>(),
             vec![
                 (Stage::Admitted, 5),
                 (Stage::Queued, 5),
@@ -753,9 +816,14 @@ mod tests {
             tenant: 1,
             spec_fp: u64::MAX,
             key_fp: 0xDEAD_BEEF,
-            stages: vec![(Stage::Admitted, 3), (Stage::Throttled, 3)],
+            stages: Stages::from_iter([(Stage::Admitted, 3), (Stage::Throttled, 3)]),
         };
         let line = trace.to_json_line();
+        assert_eq!(
+            line,
+            "{\"id\":9,\"tenant\":1,\"spec_fp\":\"0xffffffffffffffff\",\
+             \"key_fp\":\"0x00000000deadbeef\",\"stages\":[[\"admitted\",3],[\"throttled\",3]]}"
+        );
         // Hex-string fingerprints keep the document inside f64-exact
         // integer range for qtrace's strict JSON parser.
         let doc = qtrace::json::Json::parse(&line).expect("valid JSON");
@@ -826,14 +894,14 @@ mod tests {
                 tenant: 0,
                 spec_fp: 1,
                 key_fp: 1,
-                stages: vec![(Stage::Admitted, 1), (Stage::Completed, 1)],
+                stages: Stages::from_iter([(Stage::Admitted, 1), (Stage::Completed, 1)]),
             },
             RequestTrace {
                 id: 2,
                 tenant: 3,
                 spec_fp: 2,
                 key_fp: 2,
-                stages: vec![(Stage::Admitted, 2), (Stage::Reaped, 7)],
+                stages: Stages::from_iter([(Stage::Admitted, 2), (Stage::Reaped, 7)]),
             },
         ];
         let manifest = lifecycle_manifest("lc", &traces);

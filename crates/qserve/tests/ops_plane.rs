@@ -146,7 +146,7 @@ proptest! {
                 trace.terminal_count(), 1,
                 "request {} terminals != 1: {:?}", trace.id, trace.stages
             );
-            let (first_stage, _) = trace.stages[0];
+            let (first_stage, _) = trace.stages.iter().next().expect("admitted first");
             prop_assert_eq!(
                 first_stage, Stage::Admitted,
                 "request {} did not start at Admitted", trace.id

@@ -20,6 +20,10 @@
 //! | `RX RY`                   | real 2×2 rotation (4 real mul/entry)       |
 //! | `U2 U3` (and unknowns)    | generic `Matrix2`/`Matrix4` product        |
 //!
+//! With fusion on, a `SWAP` is not dispatched at all: [`FusedApplier`]
+//! simulates in the program frame and turns it into a relabel of its
+//! qubit → storage-bit map.
+//!
 //! # Threading
 //!
 //! All kernels couple an amplitude only to partners inside an aligned
@@ -69,19 +73,35 @@ use crate::par;
 use crate::SimOptions;
 use qcircuit::kernel::Kernel;
 use qcircuit::math::{matmul2, Complex, Matrix2, Matrix4, ONE, ZERO};
-use qcircuit::{Gate, Instruction};
+use qcircuit::{Circuit, Gate, Instruction};
 
 /// Streaming instruction applier that fuses runs of diagonal gates across
-/// `apply` calls. The engine behind [`crate::StateVector::apply_circuit_with`]
+/// `apply` calls and simulates in the *program frame*. The engine behind
+/// [`crate::StateVector::apply_circuit_with`], the fresh-state entry points
 /// and the trajectory simulator: callers stream instructions through
 /// [`FusedApplier::apply`] and must [`FusedApplier::flush`] before reading
 /// the amplitudes (or interleaving out-of-band updates such as Pauli
 /// injections).
+///
+/// With fusion on, a `SWAP` only relabels: `slot` maps each circuit qubit
+/// to the storage bit that currently holds it, a SWAP exchanges two
+/// entries, and every other op's operands go through the map. Diagonal
+/// and wall runs therefore continue across SWAPs — a routed QAOA cost
+/// layer is one fused pass. `flush` materializes the accumulated
+/// permutation with a single gather. With fusion off, SWAPs are swap
+/// passes and the map stays the identity (the gate-by-gate reference).
 pub(crate) struct FusedApplier {
     acc: DiagAccumulator,
     wall: WallAccumulator,
     threads: usize,
     fuse: bool,
+    /// Circuit qubit → storage bit. Slots `>= storage_qubits` are idle
+    /// wires that compaction never allocated (always `|0⟩`).
+    slot: Vec<usize>,
+    /// Width of the amplitude buffer this applier drives.
+    storage_qubits: usize,
+    /// Gather target, reused across materializations.
+    scratch: Vec<Complex>,
 }
 
 impl FusedApplier {
@@ -91,18 +111,70 @@ impl FusedApplier {
             wall: WallAccumulator::default(),
             threads: opts.effective_threads(num_qubits),
             fuse: opts.fused_diagonals,
+            slot: (0..num_qubits).collect(),
+            storage_qubits: num_qubits,
+            scratch: Vec::new(),
         }
     }
 
-    pub(crate) fn apply(&mut self, amps: &mut [Complex], instr: &Instruction) {
-        let op = Op::from_instruction(instr);
-        if qtrace::enabled() {
-            let q = qtrace::global();
-            q.add(op.dispatch_counter(), 1);
-            // Timeline marker per kernel dispatch (second opt-in: only
-            // recorded when event capture is also on).
-            q.instant(op.dispatch_counter());
+    /// An applier for `circuit` run from `|0…0⟩` that stores only the
+    /// wires some non-SWAP unitary touches. A pre-walk follows the
+    /// relabels and marks the storage slots those unitaries reach; the
+    /// rest stay `|0⟩` for the whole run, so they get slots past
+    /// [`FusedApplier::storage_qubits`] and are never allocated. Finish
+    /// with [`FusedApplier::scatter`]. With fusion off, nothing is
+    /// compacted.
+    pub(crate) fn compacted(opts: &SimOptions, circuit: &Circuit) -> Self {
+        let n = circuit.num_qubits();
+        if !opts.fused_diagonals {
+            return Self::new(opts, n);
         }
+        let mut slot: Vec<usize> = (0..n).collect();
+        let mut live = vec![false; n];
+        for instr in circuit.iter().filter(|i| i.gate().is_unitary()) {
+            if matches!(instr.gate(), Gate::Swap) {
+                slot.swap(instr.q0(), instr.q1());
+            } else {
+                live[slot[instr.q0()]] = true;
+                if instr.gate().arity() == 2 {
+                    live[slot[instr.q1()]] = true;
+                }
+            }
+        }
+        // Live wires take the low storage bits in wire order; idle ones
+        // park above them.
+        let width = live.iter().filter(|&&l| l).count();
+        let (mut next_live, mut next_idle) = (0, width);
+        let slot = live
+            .iter()
+            .map(|&l| {
+                let next = if l { &mut next_live } else { &mut next_idle };
+                *next += 1;
+                *next - 1
+            })
+            .collect();
+        FusedApplier {
+            threads: opts.effective_threads(width),
+            slot,
+            storage_qubits: width,
+            ..Self::new(opts, 0)
+        }
+    }
+
+    /// Width of the amplitude buffer this applier expects.
+    pub(crate) fn storage_qubits(&self) -> usize {
+        self.storage_qubits
+    }
+
+    pub(crate) fn apply(&mut self, amps: &mut [Complex], instr: &Instruction) {
+        if self.fuse && matches!(instr.gate(), Gate::Swap) {
+            self.slot.swap(instr.q0(), instr.q1());
+            record_dispatch("qsim/dispatch/relabel");
+            return;
+        }
+        let slot = &self.slot;
+        let op = Op::lower(instr, |q| slot[q]);
+        record_dispatch(op.dispatch_counter());
         if !self.fuse {
             op.apply(amps, self.threads);
             return;
@@ -133,9 +205,94 @@ impl FusedApplier {
         }
     }
 
-    pub(crate) fn flush(&mut self, amps: &mut [Complex]) {
+    /// Applies the open runs, then materializes the pending relabels with
+    /// one gather pass, so `amps` is indexed by circuit qubits again.
+    pub(crate) fn flush(&mut self, amps: &mut Vec<Complex>) {
+        debug_assert_eq!(
+            self.storage_qubits,
+            self.slot.len(),
+            "compacted appliers scatter"
+        );
         self.acc.flush(amps, self.threads);
         self.wall.flush(amps, self.threads);
+        if self.slot.iter().enumerate().all(|(q, &s)| q == s) {
+            return;
+        }
+        record_dispatch("qsim/dispatch/permute");
+        // Circuit-frame index i lives at storage index σ(i).
+        let storage_of = IndexMap::new(&self.slot);
+        self.scratch.resize(amps.len(), ZERO);
+        let src: &[Complex] = amps;
+        par::chunked(&mut self.scratch, 1, self.threads, |offset, chunk| {
+            for (i, a) in chunk.iter_mut().enumerate() {
+                *a = src[storage_of.map(offset + i)];
+            }
+        });
+        std::mem::swap(amps, &mut self.scratch);
+        for (q, s) in self.slot.iter_mut().enumerate() {
+            *s = q;
+        }
+    }
+
+    /// Applies the open runs and writes the compact storage `amps` into
+    /// the full-width circuit-frame buffer `out`, which must hold zeros
+    /// wherever an idle wire is set (e.g. a fresh `|0…0⟩`).
+    pub(crate) fn scatter(&mut self, amps: &mut [Complex], out: &mut [Complex]) {
+        self.acc.flush(amps, self.threads);
+        self.wall.flush(amps, self.threads);
+        record_dispatch("qsim/dispatch/permute");
+        // Storage bit k holds circuit qubit wire[k].
+        let mut wire = vec![0; self.storage_qubits];
+        for (q, &s) in self.slot.iter().enumerate() {
+            if s < self.storage_qubits {
+                wire[s] = q;
+            }
+        }
+        let circuit_of = IndexMap::new(&wire);
+        for (j, &a) in amps.iter().enumerate() {
+            out[circuit_of.map(j)] = a;
+        }
+    }
+}
+
+/// Counts one kernel dispatch in the run manifest, plus a timeline
+/// marker (second opt-in: only recorded when event capture is also on).
+fn record_dispatch(counter: &'static str) {
+    if qtrace::enabled() {
+        let q = qtrace::global();
+        q.add(counter, 1);
+        q.instant(counter);
+    }
+}
+
+/// A bit permutation of basis indices, `i ↦ Σ_q bit_q(i) << target[q]`,
+/// evaluated with two half-width lookup tables.
+struct IndexMap {
+    lo_bits: usize,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+}
+
+impl IndexMap {
+    fn new(target: &[usize]) -> Self {
+        // table[x] = table[x without its lowest bit] | that bit's image.
+        let table = |bits: &[usize]| {
+            let mut t = vec![0usize; 1 << bits.len()];
+            for x in 1..t.len() {
+                t[x] = t[x & (x - 1)] | 1 << bits[x.trailing_zeros() as usize];
+            }
+            t
+        };
+        let lo_bits = target.len().div_ceil(2);
+        IndexMap {
+            lo_bits,
+            lo: table(&target[..lo_bits]),
+            hi: table(&target[lo_bits..]),
+        }
+    }
+
+    fn map(&self, i: usize) -> usize {
+        self.lo[i & (self.lo.len() - 1)] | self.hi[i >> self.lo_bits]
     }
 }
 
@@ -185,8 +342,14 @@ impl Op {
     ///
     /// Panics on measurement instructions — callers filter them first.
     pub(crate) fn from_instruction(instr: &Instruction) -> Op {
-        let b0 = || 1usize << instr.q0();
-        let b1 = || 1usize << instr.q1();
+        Op::lower(instr, |q| q)
+    }
+
+    /// [`Op::from_instruction`] with every operand routed through `slot`
+    /// (circuit qubit → storage bit).
+    fn lower(instr: &Instruction, slot: impl Fn(usize) -> usize) -> Op {
+        let b0 = || 1usize << slot(instr.q0());
+        let b1 = || 1usize << slot(instr.q1());
         match instr.gate() {
             // Structured dense gates the Kernel classification keeps as
             // Dense1: lower them to cheaper real-arithmetic rules here.

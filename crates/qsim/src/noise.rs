@@ -141,26 +141,31 @@ impl TrajectorySimulator {
         sv: &mut StateVector,
     ) {
         let mut busy = vec![false; circuit.num_qubits()];
-        self.run_layers(&asap_layers(circuit), &mut busy, sv, rng);
+        let mut fused = FusedApplier::new(&self.options, sv.num_qubits());
+        self.run_layers(&asap_layers(circuit), &mut busy, &mut fused, sv, rng);
     }
 
     /// The trajectory inner loop over precomputed concurrency layers, with
-    /// all buffers (state, busy flags) owned by the caller so repeated
-    /// trajectories allocate nothing.
+    /// all buffers (state, busy flags, the applier's gather scratch) owned
+    /// by the caller so repeated trajectories allocate nothing.
+    ///
+    /// SWAPs are relabels inside `fused`; every Pauli injection flushes
+    /// first, so it lands on the materialized circuit-frame state.
     fn run_layers<R: Rng + ?Sized>(
         &self,
         layers: &[Vec<Instruction>],
         busy: &mut [bool],
+        fused: &mut FusedApplier,
         sv: &mut StateVector,
         rng: &mut R,
     ) {
         sv.reset();
-        let mut fused = FusedApplier::new(&self.options, sv.num_qubits());
         for layer in layers {
             busy.fill(false);
             for instr in layer {
-                for q in instr.qubit_vec() {
-                    busy[q] = true;
+                busy[instr.q0()] = true;
+                if instr.gate().arity() == 2 {
+                    busy[instr.q1()] = true;
                 }
                 if instr.gate().is_unitary() {
                     fused.apply(sv.amps_mut(), instr);
@@ -209,6 +214,7 @@ impl TrajectorySimulator {
         let layers = asap_layers(circuit);
         let mut busy = vec![false; n];
         let mut sv = StateVector::new(n);
+        let mut fused = FusedApplier::new(&self.options, n);
         let mut sampler = Sampler::new(&sv);
         let mut counts = Counts::new();
         for t in 0..u64::from(trajectories) {
@@ -216,7 +222,7 @@ impl TrajectorySimulator {
             if this_shots == 0 {
                 continue;
             }
-            self.run_layers(&layers, &mut busy, &mut sv, rng);
+            self.run_layers(&layers, &mut busy, &mut fused, &mut sv, rng);
             sampler.rebuild(&sv);
             for _ in 0..this_shots {
                 *counts.entry(sampler.sample(rng)).or_insert(0) += 1;
@@ -245,9 +251,10 @@ impl TrajectorySimulator {
         let layers = asap_layers(circuit);
         let mut busy = vec![false; n];
         let mut sv = StateVector::new(n);
+        let mut fused = FusedApplier::new(&self.options, n);
         let mut total = 0.0;
         for _ in 0..trajectories {
-            self.run_layers(&layers, &mut busy, &mut sv, rng);
+            self.run_layers(&layers, &mut busy, &mut fused, &mut sv, rng);
             total += sv.fidelity(ideal);
         }
         total / f64::from(trajectories)

@@ -72,9 +72,10 @@ impl StateVector {
 
     /// [`StateVector::from_circuit`] with explicit engine options.
     pub fn from_circuit_with(circuit: &Circuit, opts: &SimOptions) -> Self {
-        let mut sv = StateVector::new(circuit.num_qubits());
-        sv.apply_circuit_with(circuit, opts);
-        sv
+        match Self::simulate_fresh(circuit, opts) {
+            Ok(sv) => sv,
+            Err(e) => panic!("statevector too large: {e}"),
+        }
     }
 
     /// [`StateVector::from_circuit`] that *rejects* parametric circuits
@@ -96,8 +97,31 @@ impl StateVector {
                 gate: instr.gate().name(),
             });
         }
+        Self::simulate_fresh(circuit, opts)
+    }
+
+    /// Runs `circuit` from `|0…0⟩` in the program frame, storing only the
+    /// wires some non-SWAP unitary touches (see
+    /// [`FusedApplier::compacted`]); one scatter writes the compact state
+    /// into the full-width result. The shared body of every fresh-state
+    /// entry point.
+    fn simulate_fresh(circuit: &Circuit, opts: &SimOptions) -> Result<Self, SimError> {
         let mut sv = StateVector::try_new(circuit.num_qubits())?;
-        sv.apply_circuit_with(circuit, opts);
+        let mut fused = FusedApplier::compacted(opts, circuit);
+        let unitaries = circuit.iter().filter(|i| i.gate().is_unitary());
+        if fused.storage_qubits() == sv.num_qubits {
+            for instr in unitaries {
+                fused.apply(&mut sv.amps, instr);
+            }
+            fused.flush(&mut sv.amps);
+            return Ok(sv);
+        }
+        let mut compact = vec![ZERO; 1 << fused.storage_qubits()];
+        compact[0] = ONE;
+        for instr in unitaries {
+            fused.apply(&mut compact, instr);
+        }
+        fused.scatter(&mut compact, &mut sv.amps);
         Ok(sv)
     }
 
@@ -164,7 +188,9 @@ impl StateVector {
     ///
     /// Results are bit-for-bit identical for every thread count, and agree
     /// with gate-by-gate application to ~1e-15 per amplitude when fusion
-    /// reassociates phase products.
+    /// reassociates phase products. With fusion on, SWAPs are relabels
+    /// materialized by one gather at the end; the state here is
+    /// arbitrary, so idle wires are never compacted away.
     ///
     /// # Panics
     ///
@@ -185,7 +211,7 @@ impl StateVector {
 
     /// Raw mutable amplitude access for the crate-internal streaming
     /// appliers (trajectory simulation).
-    pub(crate) fn amps_mut(&mut self) -> &mut [Complex] {
+    pub(crate) fn amps_mut(&mut self) -> &mut Vec<Complex> {
         &mut self.amps
     }
 

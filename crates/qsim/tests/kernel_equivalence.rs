@@ -1,11 +1,27 @@
 //! Property-based equivalence tests for the kernel engine: every engine
 //! configuration (fused/unfused diagonals, any thread count) must produce
 //! the same state as the serial gate-by-gate reference, within
-//! 1e-12 per amplitude.
+//! 1e-12 per amplitude. With fusion on, the engine runs in the program
+//! frame (SWAPs relabel, idle wires of fresh states are never stored), so
+//! routed circuits with SWAP chains and idle wires get their own cases.
+
+use std::sync::RwLock;
 
 use proptest::prelude::*;
 use qcircuit::{Circuit, Gate, Instruction};
-use qsim::{SimError, SimOptions, StateVector, MAX_QUBITS};
+use qhw::{Calibration, Topology};
+use qsim::{NoiseModel, SimError, SimOptions, StateVector, TrajectorySimulator, MAX_QUBITS};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// The qtrace recorder is process-global: the dispatch-count test holds
+/// this for writing while it records, every other test holds it for
+/// reading, so no concurrent simulation pollutes the counts.
+static RECORDER: RwLock<()> = RwLock::new(());
+
+fn shared_recorder() -> std::sync::RwLockReadGuard<'static, ()> {
+    RECORDER.read().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A gate mix covering every kernel class: diagonal 1q/2q (fusable),
 /// flips, permutations, structured mixers, and generic dense unitaries.
@@ -72,6 +88,59 @@ fn arb_qaoa_circuit(n: usize) -> impl Strategy<Value = Circuit> {
         })
 }
 
+/// A routed-shaped circuit on `wires` wires: gates over `live` logical
+/// qubits placed from a random wire offset, with random SWAP chains
+/// before each gate that move logical qubits (and idle wires) around.
+/// Wires that only ever carry idle qubits are never touched by a
+/// non-SWAP gate.
+fn arb_routed_circuit(wires: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
+    (2..=wires).prop_flat_map(move |live| {
+        (
+            proptest::collection::vec(arb_unitary_instruction(live), 0..max_len),
+            proptest::collection::vec(
+                proptest::collection::vec((0..wires, 1..wires), 0..4),
+                max_len..=max_len,
+            ),
+            0..wires,
+        )
+            .prop_map(move |(gates, chains, offset)| {
+                let mut wire_of: Vec<usize> = (0..wires).map(|q| (q + offset) % wires).collect();
+                let mut c = Circuit::new(wires);
+                for (gate, chain) in gates.iter().zip(&chains) {
+                    for &(a, d) in chain {
+                        let b = (a + d) % wires;
+                        c.swap(a, b);
+                        for w in wire_of.iter_mut() {
+                            if *w == a {
+                                *w = b;
+                            } else if *w == b {
+                                *w = a;
+                            }
+                        }
+                    }
+                    let placed = if gate.gate().arity() == 1 {
+                        Instruction::one(gate.gate(), wire_of[gate.q0()])
+                    } else {
+                        Instruction::two(gate.gate(), wire_of[gate.q0()], wire_of[gate.q1()])
+                    };
+                    c.push(placed).expect("in range");
+                }
+                c
+            })
+    })
+}
+
+/// A non-|0…0⟩ state with weight on every wire, idle ones included.
+fn excited_state(wires: usize) -> StateVector {
+    let mut prep = Circuit::new(wires);
+    for q in 0..wires {
+        prep.h(q);
+        prep.ry(0.3 + 0.2 * q as f64, q);
+        prep.rz(0.1 * q as f64, q);
+    }
+    StateVector::from_circuit_with(&prep, &SimOptions::serial().with_fused_diagonals(false))
+}
+
 fn max_amp_diff(a: &StateVector, b: &StateVector) -> f64 {
     a.amplitudes()
         .iter()
@@ -84,6 +153,7 @@ proptest! {
     /// Fused diagonal application agrees with gate-by-gate application.
     #[test]
     fn fused_diagonals_match_unfused(c in arb_circuit(6, 60)) {
+        let _recorder = shared_recorder();
         let fused = StateVector::from_circuit_with(
             &c,
             &SimOptions::serial().with_fused_diagonals(true),
@@ -99,6 +169,7 @@ proptest! {
     /// the generic engine.
     #[test]
     fn qaoa_cost_layer_fusion_matches(c in arb_qaoa_circuit(6)) {
+        let _recorder = shared_recorder();
         let fused = StateVector::from_circuit_with(
             &c,
             &SimOptions::serial().with_fused_diagonals(true),
@@ -110,6 +181,33 @@ proptest! {
         prop_assert!(max_amp_diff(&fused, &unfused) < 1e-12);
     }
 
+    /// Program frame on routed circuits: SWAP chains become relabels and
+    /// idle wires are compacted away, yet every fresh-state entry point
+    /// matches gate-by-gate application.
+    #[test]
+    fn program_frame_matches_unfused_on_routed_circuits(c in arb_routed_circuit(7, 40)) {
+        let _recorder = shared_recorder();
+        let unfused = StateVector::from_circuit_with(
+            &c,
+            &SimOptions::serial().with_fused_diagonals(false),
+        );
+        let fused = StateVector::from_circuit_with(&c, &SimOptions::serial());
+        prop_assert!(max_amp_diff(&fused, &unfused) < 1e-12);
+        let bound = StateVector::try_from_bound_with(&c, &SimOptions::serial()).expect("bound");
+        prop_assert_eq!(bound.amplitudes(), fused.amplitudes());
+    }
+
+    /// `apply_circuit_with` on an arbitrary state never compacts: wires
+    /// the circuit leaves idle keep their (non-|0⟩) content.
+    #[test]
+    fn program_frame_on_excited_state_matches_unfused(c in arb_routed_circuit(6, 30)) {
+        let _recorder = shared_recorder();
+        let mut fused = excited_state(6);
+        fused.apply_circuit_with(&c, &SimOptions::serial());
+        let mut unfused = excited_state(6);
+        unfused.apply_circuit_with(&c, &SimOptions::serial().with_fused_diagonals(false));
+        prop_assert!(max_amp_diff(&fused, &unfused) < 1e-12);
+    }
 }
 
 // Thread-equivalence cases spawn thousands of scoped threads each (every
@@ -122,6 +220,7 @@ proptest! {
     /// chunking rules never split a gate's coupled amplitudes.
     #[test]
     fn thread_counts_match_serial(c in arb_circuit(6, 50), threads in 2usize..9) {
+        let _recorder = shared_recorder();
         let serial = StateVector::from_circuit_with(&c, &SimOptions::serial());
         let parallel = StateVector::from_circuit_with(
             &c,
@@ -141,6 +240,7 @@ proptest! {
     /// Threading and fusion composed still match the serial reference.
     #[test]
     fn threaded_fused_matches_serial_unfused(c in arb_qaoa_circuit(5), threads in 2usize..5) {
+        let _recorder = shared_recorder();
         let reference = StateVector::from_circuit_with(
             &c,
             &SimOptions::serial().with_fused_diagonals(false),
@@ -153,6 +253,124 @@ proptest! {
                 .with_fused_diagonals(true),
         );
         prop_assert!(max_amp_diff(&reference, &tuned) < 1e-12);
+    }
+
+    /// The program frame (relabels, gather, compaction, scatter) is
+    /// bit-identical across thread counts.
+    #[test]
+    fn program_frame_thread_counts_match_serial(
+        c in arb_routed_circuit(7, 30),
+        threads in 2usize..5,
+    ) {
+        let _recorder = shared_recorder();
+        let threaded = SimOptions::default()
+            .with_threads(threads)
+            .with_crossover_qubits(0);
+        let serial = StateVector::from_circuit_with(&c, &SimOptions::serial());
+        let parallel = StateVector::from_circuit_with(&c, &threaded);
+        prop_assert_eq!(serial.amplitudes(), parallel.amplitudes());
+        let mut serial = excited_state(7);
+        serial.apply_circuit_with(&c, &SimOptions::serial());
+        let mut parallel = excited_state(7);
+        parallel.apply_circuit_with(&c, &threaded);
+        prop_assert_eq!(serial.amplitudes(), parallel.amplitudes());
+    }
+
+    /// Trajectories with frequent forced Pauli injections (each flushes
+    /// and materializes pending relabels) match the unfused engine: the
+    /// random stream does not depend on the state, so both runs inject
+    /// the same Paulis at the same points.
+    #[test]
+    fn trajectories_with_injections_match_unfused(c in arb_routed_circuit(6, 30), seed in 0u64..1000) {
+        let _recorder = shared_recorder();
+        let topo = Topology::fully_connected(6);
+        let cal = Calibration::uniform(&topo, 0.3, 0.2, 0.0);
+        let model = NoiseModel::new(cal).with_idle_error(0.1);
+        let fused = TrajectorySimulator::with_options(model.clone(), SimOptions::serial());
+        let unfused = TrajectorySimulator::with_options(
+            model,
+            SimOptions::serial().with_fused_diagonals(false),
+        );
+        let a = fused.run_trajectory(&c, &mut StdRng::seed_from_u64(seed));
+        let b = unfused.run_trajectory(&c, &mut StdRng::seed_from_u64(seed));
+        prop_assert!(max_amp_diff(&a, &b) < 1e-12);
+        // The reused applier (one gather scratch across trajectories).
+        let ideal = StateVector::from_circuit(&c);
+        let fa = fused.mean_fidelity(&c, &ideal, 4, &mut StdRng::seed_from_u64(seed));
+        let fb = unfused.mean_fidelity(&c, &ideal, 4, &mut StdRng::seed_from_u64(seed));
+        prop_assert!((fa - fb).abs() < 1e-12, "{} vs {}", fa, fb);
+    }
+}
+
+/// A routed melbourne p-level QAOA circuit: each routed cost layer is one
+/// fused diagonal pass, every SWAP is a relabel, and the dispatch section
+/// still accounts for every unitary.
+#[test]
+fn routed_qaoa_fuses_one_diagonal_run_per_level() {
+    let topo = Topology::ibmq_16_melbourne();
+    let (_, cal) = Calibration::melbourne_2020_04_08();
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for p in 1..=2usize {
+        let n = 12;
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                if rng.gen_bool(0.5) {
+                    edges.push((a, b));
+                }
+            }
+        }
+        let levels = (0..p)
+            .map(|l| {
+                let gamma = 0.4 + 0.1 * l as f64;
+                let ops = edges
+                    .iter()
+                    .map(|&(a, b)| qcompile::CphaseOp::new(a, b, gamma))
+                    .collect();
+                (ops, 0.3)
+            })
+            .collect();
+        let spec = qcompile::QaoaSpec::new(n, levels, true);
+        for options in [
+            qcompile::CompileOptions::ic(),
+            qcompile::CompileOptions::vic(),
+        ] {
+            let compiled = qcompile::compile(&spec, &topo, Some(&cal), &options, &mut rng);
+            let physical = compiled.physical();
+            let unitaries = physical.iter().filter(|i| i.gate().is_unitary()).count() as u64;
+            let swaps = physical.count_gate("swap") as u64;
+            assert!(swaps > 0, "routing must insert SWAPs for the test to bite");
+
+            let manifest = {
+                let _exclusive = RECORDER.write().unwrap_or_else(|e| e.into_inner());
+                let _ = qtrace::take("drain");
+                qtrace::enable();
+                let sv = StateVector::from_circuit(physical);
+                qtrace::disable();
+                assert!((sv.norm_sqr() - 1.0).abs() < 1e-12);
+                qtrace::take("routed")
+            };
+            let counter = |name: &str| manifest.counters.get(name).copied().unwrap_or(0);
+            let runs = manifest
+                .histograms
+                .get("qsim/fused_diag_run_len")
+                .map_or(0, |h| h.count());
+            assert_eq!(runs, p as u64, "one fused diagonal pass per level");
+            assert_eq!(counter("qsim/dispatch/swap"), 0);
+            assert_eq!(counter("qsim/dispatch/relabel"), swaps);
+            // The single materialization: compacting 15 wires to 12 ends
+            // in one scatter.
+            assert_eq!(counter("qsim/dispatch/permute"), 1);
+            let unitary_dispatches: u64 = manifest
+                .counters
+                .iter()
+                .filter(|(k, _)| {
+                    k.starts_with("qsim/dispatch/") && k.as_str() != "qsim/dispatch/permute"
+                })
+                .map(|(_, v)| v)
+                .sum();
+            assert_eq!(unitary_dispatches, unitaries);
+        }
     }
 }
 
