@@ -32,7 +32,7 @@ impl Report {
     /// derived from the label, so re-runs emit identical JSON.
     pub fn add(&mut self, label: impl Into<String>, samples: &[f64]) {
         let label = label.into();
-        let summary = summarize(samples, fnv1a(label.as_bytes()));
+        let summary = summarize(samples, qtrace::fnv1a64(label.as_bytes()));
         self.entries.push((label, summary));
     }
 
@@ -121,16 +121,6 @@ fn number(x: f64) -> String {
     } else {
         "null".to_owned()
     }
-}
-
-/// FNV-1a, used to derive a stable bootstrap seed from a metric label.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -1,22 +1,40 @@
 use qgraph::Graph;
 use qsim::Counts;
 
+/// Largest graph whose cut values [`MaxCut::new`] tabulates: `2^16`
+/// one-byte entries (64 KiB; 4 KiB at the paper's 12 nodes).
+const CUT_TABLE_MAX_NODES: usize = 16;
+
 /// A MaxCut problem instance over a problem graph.
 ///
 /// MaxCut is the paper's benchmark problem: every edge of the problem
 /// graph becomes one commuting "CPHASE" (ZZ) gate in the QAOA cost layer.
 /// The cost of a bit assignment is the number of edges whose endpoints get
 /// different bits.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct MaxCut {
     graph: Graph,
     max_value: u64,
+    /// `cuts[bits]` = the cut value of `bits`; empty when not tabulated.
+    cuts: Vec<u8>,
+}
+
+impl std::fmt::Debug for MaxCut {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MaxCut")
+            .field("graph", &self.graph)
+            .field("max_value", &self.max_value)
+            .field("tabulated", &!self.cuts.is_empty())
+            .finish()
+    }
 }
 
 impl MaxCut {
-    /// Wraps a problem graph, precomputing the optimal cut by exhaustive
-    /// search (`O(2^{n-1} · E)` — instant for the paper's n ≤ 36 *compiled*
-    /// sizes only when simulated sizes stay ≤ ~24, which they do).
+    /// Wraps a problem graph and precomputes the optimal cut. Graphs of
+    /// up to 16 nodes get a table of every cut value (one byte each, 4 KiB
+    /// at 12 nodes; built incrementally, `O(2^n)`), which also makes
+    /// [`MaxCut::cut_value`] and [`MaxCut::mean_cut`] lookups; larger ones
+    /// are searched exhaustively (`O(2^{n-1} · E)`).
     ///
     /// # Panics
     ///
@@ -29,8 +47,21 @@ impl MaxCut {
             "exhaustive MaxCut on {} nodes is infeasible; use without_optimum",
             graph.node_count()
         );
+        if graph.node_count() <= CUT_TABLE_MAX_NODES {
+            let cuts = cut_table(&graph);
+            let max_value = cuts.iter().copied().max().map_or(0, u64::from);
+            return MaxCut {
+                graph,
+                max_value,
+                cuts,
+            };
+        }
         let max_value = brute_force_max(&graph);
-        MaxCut { graph, max_value }
+        MaxCut {
+            graph,
+            max_value,
+            cuts: Vec::new(),
+        }
     }
 
     /// Wraps a problem graph without computing the optimum (methods that
@@ -40,6 +71,7 @@ impl MaxCut {
         MaxCut {
             graph,
             max_value: u64::MAX,
+            cuts: Vec::new(),
         }
     }
 
@@ -54,12 +86,12 @@ impl MaxCut {
     }
 
     /// The cut value of assignment `bits` (bit `i` of the integer is the
-    /// side of node `i`).
+    /// side of node `i`; bits past the last node are ignored).
     pub fn cut_value(&self, bits: usize) -> u64 {
-        self.graph
-            .edges()
-            .filter(|e| ((bits >> e.a()) ^ (bits >> e.b())) & 1 == 1)
-            .count() as u64
+        if !self.cuts.is_empty() {
+            return u64::from(self.cuts[bits & (self.cuts.len() - 1)]);
+        }
+        edge_cut(&self.graph, bits)
     }
 
     /// The optimal (maximum) cut value.
@@ -89,23 +121,45 @@ impl MaxCut {
     }
 }
 
+/// The cut value of `bits` by walking the edges.
+fn edge_cut(graph: &Graph, bits: usize) -> u64 {
+    graph
+        .edges()
+        .filter(|e| ((bits >> e.a()) ^ (bits >> e.b())) & 1 == 1)
+        .count() as u64
+}
+
+/// Every cut value of a graph with at most [`CUT_TABLE_MAX_NODES`] nodes.
+/// Adding node `v` (the lowest set bit of `x`) to the side `x − v` cuts
+/// its edges to the other side and uncuts those to `x − v`:
+/// `cut(x) = cut(x − v) + deg(v) − 2·|N(v) ∩ (x − v)|`.
+fn cut_table(graph: &Graph) -> Vec<u8> {
+    let n = graph.node_count();
+    debug_assert!(n <= CUT_TABLE_MAX_NODES);
+    // At most 16·15/2 = 120 edges, so every cut fits a byte.
+    let neighbours: Vec<usize> = (0..n)
+        .map(|v| graph.neighbors(v).fold(0, |m, u| m | 1 << u))
+        .collect();
+    let mut cuts = vec![0u8; 1 << n];
+    for x in 1..cuts.len() {
+        let rest = x & (x - 1);
+        let nv = neighbours[x.trailing_zeros() as usize];
+        let cut = u32::from(cuts[rest]) + nv.count_ones() - 2 * (nv & rest).count_ones();
+        cuts[x] = cut as u8;
+    }
+    cuts
+}
+
 fn brute_force_max(graph: &Graph) -> u64 {
     let n = graph.node_count();
     if n == 0 {
         return 0;
     }
-    let edges: Vec<(usize, usize)> = graph.edges().map(|e| (e.a(), e.b())).collect();
     // Fix node 0's side: halves the search space by cut symmetry.
-    let mut best = 0u64;
-    for bits in 0..(1usize << (n - 1)) {
-        let assignment = bits << 1;
-        let cut = edges
-            .iter()
-            .filter(|&&(u, v)| ((assignment >> u) ^ (assignment >> v)) & 1 == 1)
-            .count() as u64;
-        best = best.max(cut);
-    }
-    best
+    (0..(1usize << (n - 1)))
+        .map(|bits| edge_cut(graph, bits << 1))
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -166,6 +220,40 @@ mod tests {
     fn without_optimum_panics_on_max_value() {
         let problem = MaxCut::without_optimum(generators::path(3));
         let _ = problem.max_value();
+    }
+
+    #[test]
+    fn cut_table_matches_edge_loop_and_brute_force() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC07);
+        for n in 0..=CUT_TABLE_MAX_NODES {
+            for _ in 0..3 {
+                let p = rng.gen_range(0.0..=1.0);
+                let graph = generators::erdos_renyi(n, p, &mut rng).expect("valid p");
+                let problem = MaxCut::new(graph.clone());
+                assert_eq!(problem.cuts.len(), 1 << n, "n = {n} is tabulated");
+                for bits in 0..1usize << n {
+                    assert_eq!(problem.cut_value(bits), edge_cut(&graph, bits), "n = {n}");
+                }
+                // Out-of-range bits are ignored, as by the edge loop.
+                assert_eq!(problem.cut_value(usize::MAX), edge_cut(&graph, usize::MAX));
+                assert_eq!(problem.max_value(), brute_force_max(&graph) as f64);
+            }
+        }
+        // The densest tabulated graph still fits a byte per cut.
+        let k16 = MaxCut::new(generators::complete(CUT_TABLE_MAX_NODES));
+        assert_eq!(k16.max_value(), 64.0);
+        assert_eq!(k16.cut_value(0xFF), 64);
+    }
+
+    #[test]
+    fn larger_graphs_keep_the_edge_loop() {
+        let problem = MaxCut::new(generators::cycle(CUT_TABLE_MAX_NODES + 2));
+        assert!(problem.cuts.is_empty());
+        assert_eq!(problem.max_value(), (CUT_TABLE_MAX_NODES + 2) as f64);
+        assert!(MaxCut::without_optimum(generators::cycle(4))
+            .cuts
+            .is_empty());
     }
 
     #[test]

@@ -567,6 +567,7 @@ impl OpsState {
     /// Records a request's terminal transition: lifecycle, terminal
     /// counter, error-code breakdown, deterministic tick latency, and
     /// the wall-time end-to-end histogram + span.
+    #[allow(clippy::too_many_arguments)]
     pub fn finish(
         &mut self,
         id: u64,
@@ -637,11 +638,8 @@ impl OpsState {
             for (code, count) in &m.errors {
                 q.add(&format!("qserve/tenant/{t}/error/{code}"), *count);
             }
-            if m.requests > 0 {
-                q.gauge_max(
-                    &format!("qserve/tenant/{t}/hit_permille"),
-                    m.hits * 1000 / m.requests,
-                );
+            if let Some(permille) = (m.hits * 1000).checked_div(m.requests) {
+                q.gauge_max(&format!("qserve/tenant/{t}/hit_permille"), permille);
             }
             let hists: [(&str, &Histogram); 4] = [
                 ("e2e_ticks", &m.e2e_ticks),

@@ -78,7 +78,7 @@ impl SpillStore {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unencodable gate"))?;
         let mut out = String::with_capacity(body.len() + 64);
         let _ = writeln!(out, "{MAGIC}");
-        let _ = writeln!(out, "checksum {:016x}", fnv1a64(body.as_bytes()));
+        let _ = writeln!(out, "checksum {:016x}", qtrace::fnv1a64(body.as_bytes()));
         out.push_str(&body);
         fs::write(self.artifact_path(fp), out)
     }
@@ -103,7 +103,7 @@ impl SpillStore {
         }
         let mut out = String::new();
         let _ = writeln!(out, "{META_MAGIC}");
-        let _ = writeln!(out, "checksum {:016x}", fnv1a64(body.as_bytes()));
+        let _ = writeln!(out, "checksum {:016x}", qtrace::fnv1a64(body.as_bytes()));
         out.push_str(&body);
         fs::write(self.dir.join("epoch.meta"), out)
     }
@@ -187,24 +187,13 @@ impl SpillStore {
     }
 }
 
-/// FNV-1a 64 over raw bytes — the spill checksum (fast, dependency-free;
-/// this is corruption *detection*, not authentication).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Splits `text` into verified body: first line must equal `magic`,
 /// second must carry the body checksum.
 fn verify_header<'a>(text: &'a str, magic: &str) -> Option<&'a str> {
     let rest = text.strip_prefix(magic)?.strip_prefix('\n')?;
     let (checksum_line, body) = rest.split_once('\n')?;
     let declared = u64::from_str_radix(checksum_line.strip_prefix("checksum ")?, 16).ok()?;
-    (fnv1a64(body.as_bytes()) == declared).then_some(body)
+    (qtrace::fnv1a64(body.as_bytes()) == declared).then_some(body)
 }
 
 fn encode_angle(out: &mut String, angle: &Angle) {

@@ -75,6 +75,8 @@ proptest! {
     /// Conservation: `admitted == sum over terminal stages`, i.e. every
     /// admitted request's trace carries exactly one terminal stage, and
     /// the log holds exactly one record per admission.
+    // `u64::is_multiple_of` needs Rust 1.87; the declared MSRV is 1.75.
+    #[allow(clippy::manual_is_multiple_of)]
     #[test]
     fn every_admitted_request_reaches_exactly_one_terminal(
         seed in 0u64..1_000_000,

@@ -5,7 +5,7 @@
 //!
 //! # Dispatch
 //!
-//! [`Op::from_instruction`] lowers an instruction to the cheapest exact
+//! [`Op::lower`] lowers an instruction to the cheapest exact
 //! update rule, extending [`qcircuit::kernel::Kernel`] with the structured
 //! real-rotation mixers (`H`, `RX`, `RY`) that the generic `Dense1` matrix
 //! product would otherwise handle with twice the flops:
@@ -21,8 +21,8 @@
 //! | `U2 U3` (and unknowns)    | generic `Matrix2`/`Matrix4` product        |
 //!
 //! With fusion on, a `SWAP` is not dispatched at all: [`FusedApplier`]
-//! simulates in the program frame and turns it into a relabel of its
-//! qubit → storage-bit map.
+//! simulates in the state's storage frame and turns it into a relabel of
+//! the qubit → storage-bit map.
 //!
 //! # Threading
 //!
@@ -70,115 +70,63 @@
 //! path to rounding (and are bit-for-bit identical across thread counts).
 
 use crate::par;
-use crate::SimOptions;
+use crate::state::IDLE;
+use crate::{SimOptions, StateVector};
 use qcircuit::kernel::Kernel;
 use qcircuit::math::{matmul2, Complex, Matrix2, Matrix4, ONE, ZERO};
-use qcircuit::{Circuit, Gate, Instruction};
+use qcircuit::{Gate, Instruction};
 
 /// Streaming instruction applier that fuses runs of diagonal gates across
-/// `apply` calls and simulates in the *program frame*. The engine behind
-/// [`crate::StateVector::apply_circuit_with`], the fresh-state entry points
-/// and the trajectory simulator: callers stream instructions through
-/// [`FusedApplier::apply`] and must [`FusedApplier::flush`] before reading
-/// the amplitudes (or interleaving out-of-band updates such as Pauli
-/// injections).
+/// `apply` calls and simulates in the state's storage frame. The engine
+/// behind [`StateVector::apply_circuit_with`], the fresh-state entry
+/// points and the trajectory simulator: callers stream instructions
+/// through [`FusedApplier::apply`] and must [`FusedApplier::flush`] before
+/// reading the amplitudes (or interleaving out-of-band updates such as
+/// Pauli injections).
 ///
-/// With fusion on, a `SWAP` only relabels: `slot` maps each circuit qubit
-/// to the storage bit that currently holds it, a SWAP exchanges two
-/// entries, and every other op's operands go through the map. Diagonal
-/// and wall runs therefore continue across SWAPs — a routed QAOA cost
-/// layer is one fused pass. `flush` materializes the accumulated
-/// permutation with a single gather. With fusion off, SWAPs are swap
-/// passes and the map stays the identity (the gate-by-gate reference).
+/// With fusion on, a `SWAP` only relabels: it exchanges two entries of
+/// the state's qubit → storage-bit frame, and every other op's operands go
+/// through the frame. Diagonal and wall runs therefore continue across
+/// SWAPs — a routed QAOA cost layer is one fused pass. A gate on an idle
+/// wire first widens the storage by that wire (the open runs flush
+/// first, since they act on the narrower storage), then applies directly
+/// on the new top bit: on a fresh wire that is one doubling pass, so the
+/// QAOA `H` layer costs `2^1 + … + 2^k` amplitude writes. With fusion off,
+/// the state is stored densely in the identity frame and every gate,
+/// SWAPs included, is one pass (the gate-by-gate reference).
 pub(crate) struct FusedApplier {
     acc: DiagAccumulator,
     wall: WallAccumulator,
-    threads: usize,
-    fuse: bool,
-    /// Circuit qubit → storage bit. Slots `>= storage_qubits` are idle
-    /// wires that compaction never allocated (always `|0⟩`).
-    slot: Vec<usize>,
-    /// Width of the amplitude buffer this applier drives.
-    storage_qubits: usize,
-    /// Gather target, reused across materializations.
-    scratch: Vec<Complex>,
+    opts: SimOptions,
 }
 
 impl FusedApplier {
-    pub(crate) fn new(opts: &SimOptions, num_qubits: usize) -> Self {
+    pub(crate) fn new(opts: &SimOptions) -> Self {
         FusedApplier {
             acc: DiagAccumulator::default(),
             wall: WallAccumulator::default(),
-            threads: opts.effective_threads(num_qubits),
-            fuse: opts.fused_diagonals,
-            slot: (0..num_qubits).collect(),
-            storage_qubits: num_qubits,
-            scratch: Vec::new(),
+            opts: *opts,
         }
     }
 
-    /// An applier for `circuit` run from `|0…0⟩` that stores only the
-    /// wires some non-SWAP unitary touches. A pre-walk follows the
-    /// relabels and marks the storage slots those unitaries reach; the
-    /// rest stay `|0⟩` for the whole run, so they get slots past
-    /// [`FusedApplier::storage_qubits`] and are never allocated. Finish
-    /// with [`FusedApplier::scatter`]. With fusion off, nothing is
-    /// compacted.
-    pub(crate) fn compacted(opts: &SimOptions, circuit: &Circuit) -> Self {
-        let n = circuit.num_qubits();
-        if !opts.fused_diagonals {
-            return Self::new(opts, n);
-        }
-        let mut slot: Vec<usize> = (0..n).collect();
-        let mut live = vec![false; n];
-        for instr in circuit.iter().filter(|i| i.gate().is_unitary()) {
-            if matches!(instr.gate(), Gate::Swap) {
-                slot.swap(instr.q0(), instr.q1());
-            } else {
-                live[slot[instr.q0()]] = true;
-                if instr.gate().arity() == 2 {
-                    live[slot[instr.q1()]] = true;
-                }
-            }
-        }
-        // Live wires take the low storage bits in wire order; idle ones
-        // park above them.
-        let width = live.iter().filter(|&&l| l).count();
-        let (mut next_live, mut next_idle) = (0, width);
-        let slot = live
-            .iter()
-            .map(|&l| {
-                let next = if l { &mut next_live } else { &mut next_idle };
-                *next += 1;
-                *next - 1
-            })
-            .collect();
-        FusedApplier {
-            threads: opts.effective_threads(width),
-            slot,
-            storage_qubits: width,
-            ..Self::new(opts, 0)
-        }
-    }
-
-    /// Width of the amplitude buffer this applier expects.
-    pub(crate) fn storage_qubits(&self) -> usize {
-        self.storage_qubits
-    }
-
-    pub(crate) fn apply(&mut self, amps: &mut [Complex], instr: &Instruction) {
-        if self.fuse && matches!(instr.gate(), Gate::Swap) {
-            self.slot.swap(instr.q0(), instr.q1());
+    pub(crate) fn apply(&mut self, sv: &mut StateVector, instr: &Instruction) {
+        let fuse = self.opts.fused_diagonals;
+        if fuse && matches!(instr.gate(), Gate::Swap) {
+            sv.slot.swap(instr.q0(), instr.q1());
             record_dispatch("qsim/dispatch/relabel");
             return;
         }
-        let slot = &self.slot;
-        let op = Op::lower(instr, |q| slot[q]);
-        record_dispatch(op.dispatch_counter());
-        if !self.fuse {
-            op.apply(amps, self.threads);
+        let stored = sv.slot[instr.q0()] != IDLE
+            && (instr.gate().arity() == 1 || sv.slot[instr.q1()] != IDLE);
+        if !fuse || !stored {
+            self.flush(sv);
+            apply_single(&self.opts, sv, instr);
             return;
         }
+        let op = Op::lower(instr, |q| sv.slot[q]);
+        record_dispatch(op.dispatch_counter());
+        let threads = self.threads(sv);
+        let amps = &mut sv.amps;
         // At most one accumulator holds gates at any time, so flushing
         // one before feeding the other preserves program order. A 1q
         // diagonal gate joins whichever run is open (it fits both).
@@ -186,7 +134,7 @@ impl FusedApplier {
             Op::Identity => {}
             Op::Phase1 { .. } if !self.wall.is_empty() => self.wall.push(op),
             Op::Phase1 { .. } | Op::Phase2 { .. } => {
-                self.wall.flush(amps, self.threads);
+                self.wall.flush(amps, threads);
                 self.acc.push(&op);
             }
             Op::Flip1 { .. }
@@ -194,105 +142,69 @@ impl FusedApplier {
             | Op::RotX { .. }
             | Op::RotY { .. }
             | Op::Dense1 { .. } => {
-                self.acc.flush(amps, self.threads);
+                self.acc.flush(amps, threads);
                 self.wall.push(op);
             }
             _ => {
-                self.acc.flush(amps, self.threads);
-                self.wall.flush(amps, self.threads);
-                op.apply(amps, self.threads);
+                self.acc.flush(amps, threads);
+                self.wall.flush(amps, threads);
+                op.apply(amps, threads);
             }
         }
     }
 
-    /// Applies the open runs, then materializes the pending relabels with
-    /// one gather pass, so `amps` is indexed by circuit qubits again.
-    pub(crate) fn flush(&mut self, amps: &mut Vec<Complex>) {
-        debug_assert_eq!(
-            self.storage_qubits,
-            self.slot.len(),
-            "compacted appliers scatter"
-        );
-        self.acc.flush(amps, self.threads);
-        self.wall.flush(amps, self.threads);
-        if self.slot.iter().enumerate().all(|(q, &s)| q == s) {
-            return;
-        }
-        record_dispatch("qsim/dispatch/permute");
-        // Circuit-frame index i lives at storage index σ(i).
-        let storage_of = IndexMap::new(&self.slot);
-        self.scratch.resize(amps.len(), ZERO);
-        let src: &[Complex] = amps;
-        par::chunked(&mut self.scratch, 1, self.threads, |offset, chunk| {
-            for (i, a) in chunk.iter_mut().enumerate() {
-                *a = src[storage_of.map(offset + i)];
-            }
-        });
-        std::mem::swap(amps, &mut self.scratch);
-        for (q, s) in self.slot.iter_mut().enumerate() {
-            *s = q;
-        }
+    /// Applies the open runs. The frame stays as it is: readers walk it.
+    pub(crate) fn flush(&mut self, sv: &mut StateVector) {
+        let threads = self.threads(sv);
+        self.acc.flush(&mut sv.amps, threads);
+        self.wall.flush(&mut sv.amps, threads);
     }
 
-    /// Applies the open runs and writes the compact storage `amps` into
-    /// the full-width circuit-frame buffer `out`, which must hold zeros
-    /// wherever an idle wire is set (e.g. a fresh `|0…0⟩`).
-    pub(crate) fn scatter(&mut self, amps: &mut [Complex], out: &mut [Complex]) {
-        self.acc.flush(amps, self.threads);
-        self.wall.flush(amps, self.threads);
-        record_dispatch("qsim/dispatch/permute");
-        // Storage bit k holds circuit qubit wire[k].
-        let mut wire = vec![0; self.storage_qubits];
-        for (q, &s) in self.slot.iter().enumerate() {
-            if s < self.storage_qubits {
-                wire[s] = q;
-            }
+    /// Workers for a pass over the state's current storage.
+    fn threads(&self, sv: &StateVector) -> usize {
+        self.opts.effective_threads(sv.width())
+    }
+}
+
+/// Applies one unitary instruction as its own pass, through the state's
+/// frame: with fusion on, a SWAP relabels and an idle operand wire is
+/// widened first (a 1q gate on an idle wire writes its output column in
+/// one doubling pass); with fusion off, the state is stored densely first.
+pub(crate) fn apply_single(opts: &SimOptions, sv: &mut StateVector, instr: &Instruction) {
+    if !opts.fused_diagonals {
+        sv.make_dense();
+    } else if matches!(instr.gate(), Gate::Swap) {
+        sv.slot.swap(instr.q0(), instr.q1());
+        record_dispatch("qsim/dispatch/relabel");
+        return;
+    } else if instr.gate().arity() == 1 && sv.slot[instr.q0()] == IDLE {
+        // The wire takes the next storage bit.
+        let op = Op::lower(instr, |_| sv.width());
+        record_dispatch(op.dispatch_counter());
+        let m = op.to_matrix2();
+        sv.widen_column(instr.q0(), m[0][0], m[1][0]);
+        return;
+    } else {
+        if sv.slot[instr.q0()] == IDLE {
+            sv.widen(instr.q0());
         }
-        let circuit_of = IndexMap::new(&wire);
-        for (j, &a) in amps.iter().enumerate() {
-            out[circuit_of.map(j)] = a;
+        if instr.gate().arity() == 2 && sv.slot[instr.q1()] == IDLE {
+            sv.widen(instr.q1());
         }
     }
+    let op = Op::lower(instr, |q| sv.slot[q]);
+    record_dispatch(op.dispatch_counter());
+    let threads = opts.effective_threads(sv.width());
+    op.apply(&mut sv.amps, threads);
 }
 
 /// Counts one kernel dispatch in the run manifest, plus a timeline
 /// marker (second opt-in: only recorded when event capture is also on).
-fn record_dispatch(counter: &'static str) {
+pub(crate) fn record_dispatch(counter: &'static str) {
     if qtrace::enabled() {
         let q = qtrace::global();
         q.add(counter, 1);
         q.instant(counter);
-    }
-}
-
-/// A bit permutation of basis indices, `i ↦ Σ_q bit_q(i) << target[q]`,
-/// evaluated with two half-width lookup tables.
-struct IndexMap {
-    lo_bits: usize,
-    lo: Vec<usize>,
-    hi: Vec<usize>,
-}
-
-impl IndexMap {
-    fn new(target: &[usize]) -> Self {
-        // table[x] = table[x without its lowest bit] | that bit's image.
-        let table = |bits: &[usize]| {
-            let mut t = vec![0usize; 1 << bits.len()];
-            for x in 1..t.len() {
-                t[x] = t[x & (x - 1)] | 1 << bits[x.trailing_zeros() as usize];
-            }
-            t
-        };
-        let lo_bits = target.len().div_ceil(2);
-        IndexMap {
-            lo_bits,
-            lo: table(&target[..lo_bits]),
-            hi: table(&target[lo_bits..]),
-        }
-    }
-
-    fn map(&self, i: usize) -> usize {
-        self.lo[i & (self.lo.len() - 1)] | self.hi[i >> self.lo_bits]
     }
 }
 
@@ -336,17 +248,12 @@ pub(crate) enum Op {
 }
 
 impl Op {
-    /// Lowers a unitary instruction to its update rule.
+    /// Lowers a unitary instruction to its update rule, with every operand
+    /// routed through `slot` (circuit qubit → storage bit).
     ///
     /// # Panics
     ///
     /// Panics on measurement instructions — callers filter them first.
-    pub(crate) fn from_instruction(instr: &Instruction) -> Op {
-        Op::lower(instr, |q| q)
-    }
-
-    /// [`Op::from_instruction`] with every operand routed through `slot`
-    /// (circuit qubit → storage bit).
     fn lower(instr: &Instruction, slot: impl Fn(usize) -> usize) -> Op {
         let b0 = || 1usize << slot(instr.q0());
         let b1 = || 1usize << slot(instr.q1());
@@ -427,8 +334,8 @@ impl Op {
         }
     }
 
-    /// The 2×2 matrix of a single-qubit op (used only to compose repeated
-    /// gates on one qubit inside a wall).
+    /// The 2×2 matrix of a single-qubit op (used to compose repeated gates
+    /// on one qubit inside a wall, and to write a fresh wire's column).
     ///
     /// # Panics
     ///
@@ -436,6 +343,7 @@ impl Op {
     fn to_matrix2(&self) -> Matrix2 {
         let r = |x: f64| Complex::new(x, 0.0);
         match *self {
+            Op::Identity => [[ONE, ZERO], [ZERO, ONE]],
             Op::Phase1 { z0, z1, .. } => [[z0, ZERO], [ZERO, z1]],
             Op::Flip1 { z0, z1, .. } => [[ZERO, z0], [z1, ZERO]],
             Op::Hadamard { .. } => {

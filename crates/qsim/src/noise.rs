@@ -9,7 +9,7 @@ use qcircuit::{Circuit, Gate, Instruction};
 use qhw::Calibration;
 
 use crate::kernels::FusedApplier;
-use crate::sampler::{apply_readout_error, Counts, Sampler};
+use crate::sampler::{apply_readout_error, Counts, Sampler, Tally};
 use crate::{SimOptions, StateVector};
 
 /// Error parameters for trajectory simulation of a *physical* circuit
@@ -141,16 +141,17 @@ impl TrajectorySimulator {
         sv: &mut StateVector,
     ) {
         let mut busy = vec![false; circuit.num_qubits()];
-        let mut fused = FusedApplier::new(&self.options, sv.num_qubits());
+        let mut fused = FusedApplier::new(&self.options);
         self.run_layers(&asap_layers(circuit), &mut busy, &mut fused, sv, rng);
     }
 
     /// The trajectory inner loop over precomputed concurrency layers, with
-    /// all buffers (state, busy flags, the applier's gather scratch) owned
-    /// by the caller so repeated trajectories allocate nothing.
+    /// all buffers (state, busy flags, the applier's runs) owned by the
+    /// caller so repeated trajectories allocate nothing.
     ///
-    /// SWAPs are relabels inside `fused`; every Pauli injection flushes
-    /// first, so it lands on the materialized circuit-frame state.
+    /// The state is stored over every wire, so no injection has to widen
+    /// it. SWAPs are relabels of its frame; every Pauli injection flushes
+    /// the open runs first and goes through the frame like any gate.
     fn run_layers<R: Rng + ?Sized>(
         &self,
         layers: &[Vec<Instruction>],
@@ -159,7 +160,7 @@ impl TrajectorySimulator {
         sv: &mut StateVector,
         rng: &mut R,
     ) {
-        sv.reset();
+        sv.reset_full();
         for layer in layers {
             busy.fill(false);
             for instr in layer {
@@ -168,11 +169,11 @@ impl TrajectorySimulator {
                     busy[instr.q1()] = true;
                 }
                 if instr.gate().is_unitary() {
-                    fused.apply(sv.amps_mut(), instr);
+                    fused.apply(sv, instr);
                 }
                 let p_err = self.model.gate_error(instr);
                 if p_err > 0.0 && rng.gen_bool(p_err) {
-                    fused.flush(sv.amps_mut());
+                    fused.flush(sv);
                     inject_pauli(sv, instr, rng);
                 }
             }
@@ -180,13 +181,13 @@ impl TrajectorySimulator {
             if p_idle > 0.0 {
                 for (q, &b) in busy.iter().enumerate() {
                     if !b && rng.gen_bool(p_idle) {
-                        fused.flush(sv.amps_mut());
+                        fused.flush(sv);
                         apply_random_pauli(sv, q, rng);
                     }
                 }
             }
         }
-        fused.flush(sv.amps_mut());
+        fused.flush(sv);
     }
 
     /// Samples `shots` noisy measurement outcomes using `trajectories`
@@ -214,9 +215,9 @@ impl TrajectorySimulator {
         let layers = asap_layers(circuit);
         let mut busy = vec![false; n];
         let mut sv = StateVector::new(n);
-        let mut fused = FusedApplier::new(&self.options, n);
+        let mut fused = FusedApplier::new(&self.options);
         let mut sampler = Sampler::new(&sv);
-        let mut counts = Counts::new();
+        let mut tally = Tally::new(shots);
         for t in 0..u64::from(trajectories) {
             let this_shots = base + u64::from(t < remainder);
             if this_shots == 0 {
@@ -225,9 +226,10 @@ impl TrajectorySimulator {
             self.run_layers(&layers, &mut busy, &mut fused, &mut sv, rng);
             sampler.rebuild(&sv);
             for _ in 0..this_shots {
-                *counts.entry(sampler.sample(rng)).or_insert(0) += 1;
+                tally.add(sampler.sample(rng));
             }
         }
+        let counts = tally.into_counts(|s| s);
         apply_readout_error(&counts, n, |q| self.model.calibration.readout_error(q), rng)
     }
 
@@ -251,7 +253,7 @@ impl TrajectorySimulator {
         let layers = asap_layers(circuit);
         let mut busy = vec![false; n];
         let mut sv = StateVector::new(n);
-        let mut fused = FusedApplier::new(&self.options, n);
+        let mut fused = FusedApplier::new(&self.options);
         let mut total = 0.0;
         for _ in 0..trajectories {
             self.run_layers(&layers, &mut busy, &mut fused, &mut sv, rng);
@@ -399,6 +401,57 @@ mod tests {
         );
         // Rough success-probability prediction: 0.95^2 vs 0.95^20.
         assert!(f2 > 0.8 && f20 < 0.55, "f2={f2}, f20={f20}");
+    }
+
+    /// The tallied trajectory counts equal a per-shot reference: the same
+    /// trajectories and draws, readout flips applied shot by shot, one
+    /// tree insert per shot.
+    #[test]
+    fn sample_counts_match_a_per_shot_reference() {
+        use crate::Sampler;
+        let topo = Topology::fully_connected(5);
+        let cal = Calibration::uniform(&topo, 0.05, 0.01, 0.03);
+        let sim = TrajectorySimulator::new(NoiseModel::new(cal.clone()).with_idle_error(0.02));
+        // Wire 4 stays idle; the SWAPs relabel the trajectory's frame.
+        let mut c = Circuit::new(5);
+        for q in 0..4 {
+            c.h(q);
+        }
+        c.rzz(0.7, 0, 1);
+        c.swap(1, 2);
+        c.rzz(0.4, 2, 3);
+        c.swap(0, 3);
+        c.rzz(-0.3, 3, 1);
+        for q in 0..4 {
+            c.rx(0.9, q);
+        }
+        let (shots, trajectories) = (1000u64, 7u32);
+        for seed in 0..3 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut raw = Counts::new();
+            for t in 0..u64::from(trajectories) {
+                let this_shots = shots / 7 + u64::from(t < shots % 7);
+                let sv = sim.run_trajectory(&c, &mut rng);
+                let sampler = Sampler::new(&sv);
+                for _ in 0..this_shots {
+                    *raw.entry(sampler.sample(&mut rng)).or_insert(0) += 1;
+                }
+            }
+            let mut want = Counts::new();
+            for (&state, &n) in &raw {
+                for _ in 0..n {
+                    let mut s = state;
+                    for q in 0..5 {
+                        if rng.gen_bool(cal.readout_error(q)) {
+                            s ^= 1 << q;
+                        }
+                    }
+                    *want.entry(s).or_insert(0) += 1;
+                }
+            }
+            let got = sim.sample(&c, shots, trajectories, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use rand::Rng;
 
+use crate::state::Support;
 use crate::StateVector;
 
 /// Measurement outcome counts: basis state → number of shots.
@@ -34,19 +35,30 @@ pub fn counts_to_distribution(counts: &Counts, num_qubits: usize) -> Vec<f64> {
 
 /// Samples computational-basis measurement outcomes from a statevector.
 ///
-/// Construction is `O(2^n)`; each shot is `O(n)` (binary search), so
-/// sampling the paper's 40960 shots from a 15-qubit state is effectively
-/// instant.
+/// The cumulative table covers only the state's support (`2^12` entries
+/// for a 12-node instance on 15-qubit melbourne), in ascending basis-index
+/// order. Skipped entries have probability zero, so the table holds
+/// exactly the dense table's distinct values, a binary search for a
+/// draw lands on the same basis state, and sampled counts are
+/// bit-identical to sampling the dense layout with the same `rng`.
+/// Construction is `O(2^support)`; each shot is `O(support)`.
 #[derive(Debug, Clone)]
 pub struct Sampler {
     cumulative: Vec<f64>,
+    /// The support walk of the last state, rebuilt only when a state
+    /// arrives in another storage frame.
+    support: Support,
+    /// The storage frame `support` was built for.
+    frame: Vec<usize>,
 }
 
 impl Sampler {
     /// Builds a sampler over the Born-rule distribution of `state`.
     pub fn new(state: &StateVector) -> Self {
         let mut sampler = Sampler {
-            cumulative: Vec::with_capacity(state.amplitudes().len()),
+            cumulative: Vec::new(),
+            support: state.support(),
+            frame: state.slot.clone(),
         };
         sampler.rebuild(state);
         sampler
@@ -54,18 +66,24 @@ impl Sampler {
 
     /// Rebuilds the sampler over a new state, reusing the table
     /// allocation — the resampling counterpart of [`Sampler::new`] for
-    /// trajectory loops.
+    /// trajectory loops. A state in the same storage frame as the last
+    /// one (every trajectory) reuses the support walk too, so this
+    /// allocates nothing.
     pub fn rebuild(&mut self, state: &StateVector) {
-        state.probabilities_into(&mut self.cumulative);
-        let mut acc = 0.0;
-        for c in &mut self.cumulative {
-            acc += *c;
-            *c = acc;
+        if self.frame != state.slot {
+            self.support = state.support();
+            self.frame.clone_from(&state.slot);
         }
+        self.cumulative.clear();
+        let mut acc = 0.0;
+        self.cumulative.extend(self.support.iter().map(|(_, j)| {
+            acc += state.amps[j].norm_sqr();
+            acc
+        }));
     }
 
-    /// Draws one basis state.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    /// Draws one support index.
+    fn sample_support<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cumulative.last().expect("non-empty state");
         let x: f64 = rng.gen_range(0.0..total);
         self.cumulative
@@ -73,13 +91,48 @@ impl Sampler {
             .min(self.cumulative.len() - 1)
     }
 
+    /// Draws one basis state.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        self.support.circuit_of.map(self.sample_support(rng))
+    }
+
     /// Draws `shots` basis states and tallies them.
     pub fn sample_counts<R: Rng + ?Sized>(&self, shots: u64, rng: &mut R) -> Counts {
-        let mut counts = Counts::new();
+        let mut tally = Tally::new(shots);
         for _ in 0..shots {
-            *counts.entry(self.sample(rng)).or_insert(0) += 1;
+            tally.add(self.sample_support(rng));
         }
-        counts
+        tally.into_counts(|c| self.support.circuit_of.map(c))
+    }
+}
+
+/// Drawn outcomes, tallied without a tree insert per draw: the draws are
+/// kept, sorted once, and [`Tally::into_counts`] reads the counts off the
+/// sorted runs, so the map is built in one bulk load. The cost is bounded
+/// by the number of draws, whatever the outcome domain.
+pub(crate) struct Tally(Vec<usize>);
+
+impl Tally {
+    pub(crate) fn new(draws: u64) -> Self {
+        Tally(Vec::with_capacity(usize::try_from(draws).unwrap_or(0)))
+    }
+
+    pub(crate) fn add(&mut self, outcome: usize) {
+        self.0.push(outcome);
+    }
+
+    /// The counts, with each outcome renamed by `label`, which must be
+    /// increasing (so the runs stay sorted).
+    pub(crate) fn into_counts(mut self, label: impl Fn(usize) -> usize) -> Counts {
+        self.0.sort_unstable();
+        let mut runs: Vec<(usize, u64)> = Vec::new();
+        for c in self.0 {
+            match runs.last_mut() {
+                Some((last, n)) if *last == c => *n += 1,
+                _ => runs.push((c, 1)),
+            }
+        }
+        runs.into_iter().map(|(c, n)| (label(c), n)).collect()
     }
 }
 
@@ -99,7 +152,7 @@ where
     F: FnMut(usize) -> f64,
 {
     let flip_p: Vec<f64> = (0..num_qubits).map(&mut flip_probability).collect();
-    let mut out = Counts::new();
+    let mut tally = Tally::new(counts.values().sum());
     for (&state, &n) in counts {
         for _ in 0..n {
             let mut s = state;
@@ -108,10 +161,10 @@ where
                     s ^= 1usize << q;
                 }
             }
-            *out.entry(s).or_insert(0) += 1;
+            tally.add(s);
         }
     }
-    out
+    tally.into_counts(|s| s)
 }
 
 #[cfg(test)]
@@ -185,6 +238,23 @@ mod tests {
         let out = apply_readout_error(&counts, 1, |_| 0.25, &mut rng);
         let flipped = out.get(&1).copied().unwrap_or(0) as f64 / 20_000.0;
         assert!((flipped - 0.25).abs() < 0.02, "flip rate {flipped}");
+    }
+
+    #[test]
+    fn tally_matches_per_draw_inserts() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(5);
+        // (domain, draws): many repeats, then almost none.
+        for (domain, draws) in [(64usize, 500u64), (1 << 20, 40)] {
+            let mut tally = Tally::new(draws);
+            let mut want = Counts::new();
+            for _ in 0..draws {
+                let x = rng.gen_range(0..domain);
+                tally.add(x);
+                *want.entry(3 * x).or_insert(0) += 1;
+            }
+            assert_eq!(tally.into_counts(|x| 3 * x), want);
+        }
     }
 
     #[test]

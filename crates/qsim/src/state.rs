@@ -1,4 +1,4 @@
-use crate::kernels::{FusedApplier, Op};
+use crate::kernels::{self, FusedApplier, Op};
 use crate::{SimError, SimOptions};
 use qcircuit::math::{Complex, Matrix2, Matrix4, ONE, ZERO};
 use qcircuit::{Circuit, CircuitError, Instruction, ParamValues};
@@ -7,13 +7,27 @@ use qcircuit::{Circuit, CircuitError, Instruction, ParamValues};
 /// the largest register the representation supports at all.
 pub const MAX_QUBITS: usize = 28;
 
-/// A dense statevector over `n` qubits (qubit 0 is the least-significant
-/// bit of the basis index).
+/// The storage bit of a wire outside the support (always `|0⟩`).
+pub(crate) const IDLE: usize = usize::MAX;
+
+/// A statevector over `n` qubits (qubit 0 is the least-significant bit of
+/// the basis index).
 ///
 /// The hard limit is [`MAX_QUBITS`] (28) qubits; ~22 qubits is the
 /// practical ceiling on a laptop. The paper's largest instances use 36
 /// qubits for *compilation* but only 12–15 for *execution*, which fits
 /// comfortably.
+///
+/// Only the *support* is stored: the wires some non-SWAP gate has
+/// touched. Every other wire is `|0⟩`, so a fresh state is one amplitude
+/// and the 12 live wires of a 12-node instance routed on 15-qubit
+/// melbourne take `2^12` amplitudes, not `2^15`. A storage frame maps each
+/// support wire to its storage bit; a gate on an idle wire widens the
+/// storage by one bit, and (with fusion on) a SWAP only exchanges two
+/// frame entries. Every reader walks the support in ascending basis-index
+/// order, so it adds exactly the nonzero terms of the dense formula in
+/// the dense order: probabilities, norms, expectations and sampled counts
+/// are bit-for-bit those of the dense layout ([`StateVector::to_dense`]).
 ///
 /// Gates are applied through specialized in-place kernels (see
 /// `kernels.rs`): diagonal gates are phase multiplications, `CNOT`/`SWAP`
@@ -21,10 +35,20 @@ pub const MAX_QUBITS: usize = 28;
 /// consecutive diagonal gates fuse into a single amplitude pass. All of
 /// this is tunable through [`SimOptions`] via the `*_with` entry points;
 /// the plain entry points use [`SimOptions::default`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct StateVector {
     num_qubits: usize,
-    amps: Vec<Complex>,
+    /// Amplitudes over the support, indexed by storage bits.
+    pub(crate) amps: Vec<Complex>,
+    /// Circuit qubit → storage bit, [`IDLE`] outside the support.
+    pub(crate) slot: Vec<usize>,
+}
+
+impl PartialEq for StateVector {
+    /// Equal dense meaning; the storage frames may differ.
+    fn eq(&self, other: &Self) -> bool {
+        self.num_qubits == other.num_qubits && self.to_dense() == other.to_dense()
+    }
 }
 
 impl StateVector {
@@ -51,16 +75,32 @@ impl StateVector {
                 representation: "statevector",
             });
         }
-        let mut amps = vec![ZERO; 1usize << num_qubits];
-        amps[0] = ONE;
-        qtrace::global().gauge_max("qsim/peak_live_amplitudes", amps.len() as u64);
-        Ok(StateVector { num_qubits, amps })
+        Ok(StateVector {
+            num_qubits,
+            amps: vec![ONE],
+            slot: vec![IDLE; num_qubits],
+        })
     }
 
-    /// Resets to `|0...0⟩` in place, reusing the allocation.
+    /// Resets to `|0...0⟩` (one stored amplitude) in place, keeping the
+    /// allocation for the next widening.
     pub fn reset(&mut self) {
-        self.amps.fill(ZERO);
+        self.amps.truncate(1);
         self.amps[0] = ONE;
+        self.slot.fill(IDLE);
+    }
+
+    /// Resets to `|0...0⟩` stored over every wire in the identity frame:
+    /// the trajectory start state, which no gate or Pauli injection ever
+    /// has to widen.
+    pub(crate) fn reset_full(&mut self) {
+        self.amps.clear();
+        self.amps.resize(1 << self.num_qubits, ZERO);
+        self.amps[0] = ONE;
+        for (q, s) in self.slot.iter_mut().enumerate() {
+            *s = q;
+        }
+        record_peak(self.amps.len());
     }
 
     /// Runs every unitary gate of `circuit` on a fresh `|0...0⟩` state.
@@ -72,10 +112,9 @@ impl StateVector {
 
     /// [`StateVector::from_circuit`] with explicit engine options.
     pub fn from_circuit_with(circuit: &Circuit, opts: &SimOptions) -> Self {
-        match Self::simulate_fresh(circuit, opts) {
-            Ok(sv) => sv,
-            Err(e) => panic!("statevector too large: {e}"),
-        }
+        let mut sv = Self::new(circuit.num_qubits());
+        sv.apply_circuit_with(circuit, opts);
+        sv
     }
 
     /// [`StateVector::from_circuit`] that *rejects* parametric circuits
@@ -97,31 +136,8 @@ impl StateVector {
                 gate: instr.gate().name(),
             });
         }
-        Self::simulate_fresh(circuit, opts)
-    }
-
-    /// Runs `circuit` from `|0…0⟩` in the program frame, storing only the
-    /// wires some non-SWAP unitary touches (see
-    /// [`FusedApplier::compacted`]); one scatter writes the compact state
-    /// into the full-width result. The shared body of every fresh-state
-    /// entry point.
-    fn simulate_fresh(circuit: &Circuit, opts: &SimOptions) -> Result<Self, SimError> {
-        let mut sv = StateVector::try_new(circuit.num_qubits())?;
-        let mut fused = FusedApplier::compacted(opts, circuit);
-        let unitaries = circuit.iter().filter(|i| i.gate().is_unitary());
-        if fused.storage_qubits() == sv.num_qubits {
-            for instr in unitaries {
-                fused.apply(&mut sv.amps, instr);
-            }
-            fused.flush(&mut sv.amps);
-            return Ok(sv);
-        }
-        let mut compact = vec![ZERO; 1 << fused.storage_qubits()];
-        compact[0] = ONE;
-        for instr in unitaries {
-            fused.apply(&mut compact, instr);
-        }
-        fused.scatter(&mut compact, &mut sv.amps);
+        let mut sv = Self::try_new(circuit.num_qubits())?;
+        sv.apply_circuit_with(circuit, opts);
         Ok(sv)
     }
 
@@ -167,9 +183,15 @@ impl StateVector {
         self.num_qubits
     }
 
-    /// The raw amplitudes, indexed by basis state.
-    pub fn amplitudes(&self) -> &[Complex] {
-        &self.amps
+    /// The amplitudes of every basis state, as an owned dense vector in
+    /// the circuit frame. `O(2^n)`: for inspection and tests, not for the
+    /// sampling loop.
+    pub fn to_dense(&self) -> Vec<Complex> {
+        let mut dense = vec![ZERO; 1 << self.num_qubits];
+        for (idx, j) in self.support().iter() {
+            dense[idx] = self.amps[j];
+        }
+        dense
     }
 
     /// Applies every unitary gate of `circuit` in order.
@@ -184,13 +206,14 @@ impl StateVector {
     /// [`StateVector::apply_circuit`] with explicit engine options:
     /// consecutive diagonal gates are fused into single passes (when
     /// `opts.fused_diagonals`) and every pass is chunked over
-    /// `opts.effective_threads(n)` scoped workers.
+    /// `opts.effective_threads(width)` scoped workers.
     ///
     /// Results are bit-for-bit identical for every thread count, and agree
     /// with gate-by-gate application to ~1e-15 per amplitude when fusion
-    /// reassociates phase products. With fusion on, SWAPs are relabels
-    /// materialized by one gather at the end; the state here is
-    /// arbitrary, so idle wires are never compacted away.
+    /// reassociates phase products. With fusion on, SWAPs are relabels of
+    /// the storage frame and a gate on an idle wire widens the support;
+    /// with fusion off, the state is first stored densely in the identity
+    /// frame and every gate is one pass (the gate-by-gate reference).
     ///
     /// # Panics
     ///
@@ -202,17 +225,87 @@ impl StateVector {
             circuit.num_qubits(),
             self.num_qubits
         );
-        let mut fused = FusedApplier::new(opts, self.num_qubits);
+        let mut fused = FusedApplier::new(opts);
         for instr in circuit.iter().filter(|i| i.gate().is_unitary()) {
-            fused.apply(&mut self.amps, instr);
+            fused.apply(self, instr);
         }
-        fused.flush(&mut self.amps);
+        fused.flush(self);
     }
 
-    /// Raw mutable amplitude access for the crate-internal streaming
-    /// appliers (trajectory simulation).
-    pub(crate) fn amps_mut(&mut self) -> &mut Vec<Complex> {
-        &mut self.amps
+    /// Number of stored (support) qubits.
+    pub(crate) fn width(&self) -> usize {
+        self.amps.len().trailing_zeros() as usize
+    }
+
+    /// Adds idle wire `q` to the support as the new top storage bit (in
+    /// `|0⟩`, so the upper half is zero) and returns that bit's mask.
+    pub(crate) fn widen(&mut self, q: usize) -> usize {
+        debug_assert_eq!(self.slot[q], IDLE, "wire {q} is already stored");
+        let bit = self.amps.len();
+        self.slot[q] = self.width();
+        self.amps.resize(2 * bit, ZERO);
+        record_peak(self.amps.len());
+        bit
+    }
+
+    /// Adds idle wire `q` to the support with a 1q gate applied to it. On
+    /// `|0⟩` the gate's output is its first column `(c0, c1)`, so the
+    /// stored half scales by `c0` and the new upper half is `c1` times it:
+    /// one doubling pass, whatever the gate.
+    pub(crate) fn widen_column(&mut self, q: usize, c0: Complex, c1: Complex) {
+        let half = self.widen(q);
+        let (lo, hi) = self.amps.split_at_mut(half);
+        for (l, h) in lo.iter_mut().zip(hi) {
+            *h = c1 * *l;
+            *l = c0 * *l;
+        }
+    }
+
+    /// The storage bit mask of wire `q`, widening the support first if
+    /// the wire is idle.
+    fn stored_bit(&mut self, q: usize) -> usize {
+        match self.slot[q] {
+            IDLE => self.widen(q),
+            s => 1 << s,
+        }
+    }
+
+    /// Stores every wire in the identity frame (storage bit = qubit), the
+    /// layout the gate-by-gate reference runs in. A no-op when already
+    /// there; otherwise one scatter pass.
+    pub(crate) fn make_dense(&mut self) {
+        if self.slot.iter().enumerate().all(|(q, &s)| q == s) {
+            return;
+        }
+        if self.amps.len() > 1 {
+            crate::kernels::record_dispatch("qsim/dispatch/permute");
+        }
+        self.amps = self.to_dense();
+        for (q, s) in self.slot.iter_mut().enumerate() {
+            *s = q;
+        }
+        record_peak(self.amps.len());
+    }
+
+    /// The support walk: basis indices with every idle bit clear, in
+    /// ascending order, with the storage index holding each.
+    pub(crate) fn support(&self) -> Support {
+        let wires: Vec<usize> = (0..self.num_qubits)
+            .filter(|&q| self.slot[q] != IDLE)
+            .collect();
+        let bits: Vec<usize> = wires.iter().map(|&q| self.slot[q]).collect();
+        Support {
+            len: self.amps.len(),
+            circuit_of: IndexMap::new(&wires),
+            storage_of: IndexMap::new(&bits),
+        }
+    }
+
+    /// The basis-index mask of the idle wires.
+    fn idle_mask(&self) -> usize {
+        (0..self.num_qubits)
+            .filter(|&q| self.slot[q] == IDLE)
+            .fold(0, |m, q| m | 1 << q)
     }
 
     /// Applies one unitary instruction.
@@ -224,7 +317,9 @@ impl StateVector {
         self.apply_with(instr, &SimOptions::default());
     }
 
-    /// [`StateVector::apply`] with explicit engine options.
+    /// [`StateVector::apply`] with explicit engine options. The operands
+    /// go through the storage frame, so the gate lands on the right
+    /// amplitudes wherever earlier relabels put its wires.
     ///
     /// # Panics
     ///
@@ -235,8 +330,7 @@ impl StateVector {
             "cannot apply measurement as a unitary"
         );
         self.assert_operands(instr);
-        let threads = opts.effective_threads(self.num_qubits);
-        Op::from_instruction(instr).apply(&mut self.amps, threads);
+        kernels::apply_single(opts, self, instr);
     }
 
     fn assert_operands(&self, instr: &Instruction) {
@@ -259,7 +353,8 @@ impl StateVector {
     /// Panics if `q` is out of range.
     pub fn apply_1q(&mut self, m: &Matrix2, q: usize) {
         assert!(q < self.num_qubits, "qubit {q} out of range");
-        Op::Dense1 { bit: 1 << q, m: *m }.apply(&mut self.amps, 1);
+        let bit = self.stored_bit(q);
+        Op::Dense1 { bit, m: *m }.apply(&mut self.amps, 1);
     }
 
     /// Applies an arbitrary 4×4 unitary on qubits `(a, b)` where `a` is the
@@ -274,40 +369,44 @@ impl StateVector {
             "qubit out of range"
         );
         assert_ne!(a, b, "two-qubit gate on duplicate operand");
-        Op::Dense2 {
-            ba: 1 << a,
-            bb: 1 << b,
-            m: *m,
-        }
-        .apply(&mut self.amps, 1);
+        let (ba, bb) = (self.stored_bit(a), self.stored_bit(b));
+        Op::Dense2 { ba, bb, m: *m }.apply(&mut self.amps, 1);
     }
 
     /// Born-rule probabilities for every basis state.
     pub fn probabilities(&self) -> Vec<f64> {
-        self.amps.iter().map(|a| a.norm_sqr()).collect()
+        let mut out = Vec::new();
+        self.probabilities_into(&mut out);
+        out
     }
 
-    /// Writes the Born-rule probabilities into `out`, reusing its
-    /// allocation (cleared first). The allocation-free counterpart of
-    /// [`StateVector::probabilities`] for resampling loops.
+    /// Writes the Born-rule probabilities of every basis state into
+    /// `out`, reusing its allocation (cleared first). The
+    /// allocation-free counterpart of [`StateVector::probabilities`].
     pub fn probabilities_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(self.amps.iter().map(|a| a.norm_sqr()));
+        out.resize(1 << self.num_qubits, 0.0);
+        for (idx, j) in self.support().iter() {
+            out[idx] = self.amps[j].norm_sqr();
+        }
     }
 
     /// The squared norm of the state (1.0 up to floating-point error for
     /// any circuit of unitary gates).
     pub fn norm_sqr(&self) -> f64 {
-        self.amps.iter().map(|a| a.norm_sqr()).sum()
+        self.support()
+            .iter()
+            .map(|(_, j)| self.amps[j].norm_sqr())
+            .sum()
     }
 
     /// Expectation value `⟨ψ| D |ψ⟩` of a diagonal observable given by
-    /// `value(basis_state)` — e.g. a MaxCut cost function.
+    /// `value(basis_state)` — e.g. a MaxCut cost function. `value` is only
+    /// called on the support.
     pub fn expectation_diagonal<F: Fn(usize) -> f64>(&self, value: F) -> f64 {
-        self.amps
+        self.support()
             .iter()
-            .enumerate()
-            .map(|(idx, a)| a.norm_sqr() * value(idx))
+            .map(|(idx, j)| self.amps[j].norm_sqr() * value(idx))
             .sum()
     }
 
@@ -325,13 +424,16 @@ impl StateVector {
     /// Panics if `q` is out of range or the state has zero norm.
     pub fn measure_qubit<R: rand::Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> bool {
         assert!(q < self.num_qubits, "qubit {q} out of range");
-        let bit = 1usize << q;
+        // An idle wire is |0⟩: no stored index has it set.
+        let bit = match self.slot[q] {
+            IDLE => 0,
+            s => 1usize << s,
+        };
         let p_one: f64 = self
-            .amps
+            .support()
             .iter()
-            .enumerate()
-            .filter(|(idx, _)| idx & bit != 0)
-            .map(|(_, a)| a.norm_sqr())
+            .filter(|&(_, j)| j & bit != 0)
+            .map(|(_, j)| self.amps[j].norm_sqr())
             .sum();
         let norm = self.norm_sqr();
         assert!(norm > 1e-12, "cannot measure a zero-norm state");
@@ -341,8 +443,8 @@ impl StateVector {
             / if outcome { p_one } else { norm - p_one }
                 .max(f64::MIN_POSITIVE)
                 .sqrt();
-        for (idx, a) in self.amps.iter_mut().enumerate() {
-            if (idx & bit != 0) == keep_mask_set {
+        for (j, a) in self.amps.iter_mut().enumerate() {
+            if (j & bit != 0) == keep_mask_set {
                 *a = a.scale(scale);
             } else {
                 *a = ZERO;
@@ -358,11 +460,77 @@ impl StateVector {
     /// Panics if qubit counts differ.
     pub fn fidelity(&self, other: &StateVector) -> f64 {
         assert_eq!(self.num_qubits, other.num_qubits, "qubit count mismatch");
+        // Terms off either support are zero and leave the sum unchanged.
+        let other_idle = other.idle_mask();
+        let other_bits: Vec<usize> = other
+            .slot
+            .iter()
+            .map(|&s| if s == IDLE { 0 } else { s })
+            .collect();
+        let other_storage = IndexMap::new(&other_bits);
         let mut inner = ZERO;
-        for (a, b) in self.amps.iter().zip(&other.amps) {
-            inner += a.conj() * *b;
+        for (idx, j) in self.support().iter() {
+            if idx & other_idle == 0 {
+                inner += self.amps[j].conj() * other.amps[other_storage.map(idx)];
+            }
         }
         inner.norm_sqr()
+    }
+}
+
+/// Records a stored-amplitude count in the peak-width gauge.
+fn record_peak(len: usize) {
+    qtrace::global().gauge_max("qsim/peak_live_amplitudes", len as u64);
+}
+
+/// The support of a state in ascending basis-index order: support index
+/// `c` holds the support wires' bits in ascending wire order, so the
+/// basis index it stands for grows with `c`.
+#[derive(Debug, Clone)]
+pub(crate) struct Support {
+    len: usize,
+    /// Support index → basis index.
+    pub(crate) circuit_of: IndexMap,
+    /// Support index → storage index.
+    storage_of: IndexMap,
+}
+
+impl Support {
+    /// `(basis index, storage index)` for every support index, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.len).map(|c| (self.circuit_of.map(c), self.storage_of.map(c)))
+    }
+}
+
+/// A bit permutation (or deposit) of indices, `i ↦ Σ_k bit_k(i) <<
+/// target[k]`, evaluated with two half-width lookup tables.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexMap {
+    lo_bits: usize,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+}
+
+impl IndexMap {
+    pub(crate) fn new(target: &[usize]) -> Self {
+        // table[x] = table[x without its lowest bit] | that bit's image.
+        let table = |bits: &[usize]| {
+            let mut t = vec![0usize; 1 << bits.len()];
+            for x in 1..t.len() {
+                t[x] = t[x & (x - 1)] | 1 << bits[x.trailing_zeros() as usize];
+            }
+            t
+        };
+        let lo_bits = target.len().div_ceil(2);
+        IndexMap {
+            lo_bits,
+            lo: table(&target[..lo_bits]),
+            hi: table(&target[lo_bits..]),
+        }
+    }
+
+    pub(crate) fn map(&self, i: usize) -> usize {
+        self.lo[i & (self.lo.len() - 1)] | self.hi[i >> self.lo_bits]
     }
 }
 
@@ -614,8 +782,8 @@ mod tests {
         let fused = StateVector::from_circuit_with(&c, &SimOptions::default());
         let unfused =
             StateVector::from_circuit_with(&c, &SimOptions::default().with_fused_diagonals(false));
-        for (a, b) in fused.amplitudes().iter().zip(unfused.amplitudes()) {
-            assert!(a.approx_eq(*b, 1e-12), "{a:?} vs {b:?}");
+        for (a, b) in fused.to_dense().iter().zip(unfused.to_dense()) {
+            assert!(a.approx_eq(b, 1e-12), "{a:?} vs {b:?}");
         }
     }
 

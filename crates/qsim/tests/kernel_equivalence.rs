@@ -1,16 +1,21 @@
 //! Property-based equivalence tests for the kernel engine: every engine
 //! configuration (fused/unfused diagonals, any thread count) must produce
 //! the same state as the serial gate-by-gate reference, within
-//! 1e-12 per amplitude. With fusion on, the engine runs in the program
-//! frame (SWAPs relabel, idle wires of fresh states are never stored), so
-//! routed circuits with SWAP chains and idle wires get their own cases.
+//! 1e-12 per amplitude. With fusion on, the state keeps a storage frame
+//! (SWAPs relabel, a wire is stored only once a gate touches it), so
+//! routed circuits with SWAP chains and idle wires get their own cases,
+//! and every reader is checked bit for bit against the dense formula run
+//! over `to_dense()`.
 
+use std::collections::BTreeMap;
 use std::sync::RwLock;
 
 use proptest::prelude::*;
 use qcircuit::{Circuit, Gate, Instruction};
 use qhw::{Calibration, Topology};
-use qsim::{NoiseModel, SimError, SimOptions, StateVector, TrajectorySimulator, MAX_QUBITS};
+use qsim::{
+    Counts, NoiseModel, Sampler, SimError, SimOptions, StateVector, TrajectorySimulator, MAX_QUBITS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,11 +147,65 @@ fn excited_state(wires: usize) -> StateVector {
 }
 
 fn max_amp_diff(a: &StateVector, b: &StateVector) -> f64 {
-    a.amplitudes()
+    a.to_dense()
         .iter()
-        .zip(b.amplitudes())
-        .map(|(x, y)| (*x - *y).abs())
+        .zip(b.to_dense())
+        .map(|(x, y)| (*x - y).abs())
         .fold(0.0, f64::max)
+}
+
+/// The dense reader formulas, as they stood before the state kept only
+/// its support: each walks every basis index of `to_dense()` in order.
+mod dense {
+    use super::*;
+    use qcircuit::math::{Complex, ZERO};
+
+    pub fn probabilities(amps: &[Complex]) -> Vec<f64> {
+        amps.iter().map(|a| a.norm_sqr()).collect()
+    }
+
+    pub fn norm_sqr(amps: &[Complex]) -> f64 {
+        amps.iter().map(|a| a.norm_sqr()).sum()
+    }
+
+    pub fn expectation_diagonal(amps: &[Complex], value: impl Fn(usize) -> f64) -> f64 {
+        amps.iter()
+            .enumerate()
+            .map(|(idx, a)| a.norm_sqr() * value(idx))
+            .sum()
+    }
+
+    pub fn fidelity(a: &[Complex], b: &[Complex]) -> f64 {
+        let mut inner = ZERO;
+        for (x, y) in a.iter().zip(b) {
+            inner += x.conj() * *y;
+        }
+        inner.norm_sqr()
+    }
+
+    /// Cumulative table over every basis state, one tree insert per shot.
+    pub fn sample_counts(amps: &[Complex], shots: u64, rng: &mut StdRng) -> Counts {
+        let mut cumulative = probabilities(amps);
+        let mut acc = 0.0;
+        for c in &mut cumulative {
+            acc += *c;
+            *c = acc;
+        }
+        let total = *cumulative.last().expect("non-empty");
+        let mut counts = BTreeMap::new();
+        for _ in 0..shots {
+            let x: f64 = rng.gen_range(0.0..total);
+            let state = cumulative
+                .partition_point(|&c| c <= x)
+                .min(cumulative.len() - 1);
+            *counts.entry(state).or_insert(0) += 1;
+        }
+        counts
+    }
+}
+
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits()
 }
 
 proptest! {
@@ -182,7 +241,7 @@ proptest! {
     }
 
     /// Program frame on routed circuits: SWAP chains become relabels and
-    /// idle wires are compacted away, yet every fresh-state entry point
+    /// idle wires are never stored, yet every fresh-state entry point
     /// matches gate-by-gate application.
     #[test]
     fn program_frame_matches_unfused_on_routed_circuits(c in arb_routed_circuit(7, 40)) {
@@ -194,11 +253,72 @@ proptest! {
         let fused = StateVector::from_circuit_with(&c, &SimOptions::serial());
         prop_assert!(max_amp_diff(&fused, &unfused) < 1e-12);
         let bound = StateVector::try_from_bound_with(&c, &SimOptions::serial()).expect("bound");
-        prop_assert_eq!(bound.amplitudes(), fused.amplitudes());
+        prop_assert_eq!(bound.to_dense(), fused.to_dense());
     }
 
-    /// `apply_circuit_with` on an arbitrary state never compacts: wires
-    /// the circuit leaves idle keep their (non-|0⟩) content.
+    /// `apply_circuit_with` on a fresh state widens the wires the circuit
+    /// touches, one at a time, and still matches gate-by-gate application.
+    #[test]
+    fn widening_a_fresh_state_matches_unfused(c in arb_routed_circuit(7, 40)) {
+        let _recorder = shared_recorder();
+        let mut widened = StateVector::new(7);
+        widened.apply_circuit_with(&c, &SimOptions::serial());
+        let unfused = StateVector::from_circuit_with(
+            &c,
+            &SimOptions::serial().with_fused_diagonals(false),
+        );
+        prop_assert!(max_amp_diff(&widened, &unfused) < 1e-12);
+        // One gate at a time through the public single-gate entry.
+        let mut stepped = StateVector::new(7);
+        for instr in c.iter() {
+            stepped.apply(instr);
+        }
+        prop_assert!(max_amp_diff(&stepped, &unfused) < 1e-12);
+    }
+
+    /// Every reader walks the support in ascending basis-index order, so
+    /// it adds the same nonzero terms in the same order as the dense
+    /// formula: probabilities, norm, diagonal expectation, fidelity and
+    /// sampled counts are bit-for-bit those of `to_dense()`.
+    #[test]
+    fn support_readers_match_dense_formulas_bitwise(
+        c in arb_routed_circuit(7, 40),
+        d in arb_routed_circuit(7, 20),
+        seed in 0u64..1000,
+    ) {
+        let _recorder = shared_recorder();
+        let state = StateVector::from_circuit_with(&c, &SimOptions::serial());
+        let amps = state.to_dense();
+        let probs = state.probabilities();
+        let want = dense::probabilities(&amps);
+        prop_assert!(probs.iter().zip(&want).all(|(a, b)| same_bits(*a, *b)));
+        prop_assert!(same_bits(state.norm_sqr(), dense::norm_sqr(&amps)));
+        let value = |idx: usize| idx.count_ones() as f64 - 0.37 * (idx % 5) as f64;
+        prop_assert!(same_bits(
+            state.expectation_diagonal(value),
+            dense::expectation_diagonal(&amps, value),
+        ));
+        let other = StateVector::from_circuit_with(&d, &SimOptions::serial());
+        prop_assert!(same_bits(
+            state.fidelity(&other),
+            dense::fidelity(&amps, &other.to_dense()),
+        ));
+        let shots = 300;
+        let got = Sampler::new(&state).sample_counts(shots, &mut StdRng::seed_from_u64(seed));
+        let want = dense::sample_counts(&amps, shots, &mut StdRng::seed_from_u64(seed));
+        prop_assert_eq!(got, want);
+        // Single draws agree with the dense table too.
+        let sampler = Sampler::new(&state);
+        let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let single: Counts = (0..50).fold(Counts::new(), |mut m, _| {
+            *m.entry(sampler.sample(&mut a)).or_insert(0) += 1;
+            m
+        });
+        prop_assert_eq!(single, dense::sample_counts(&amps, 50, &mut b));
+    }
+
+    /// `apply_circuit_with` on an excited state stored over every wire:
+    /// wires the circuit leaves idle keep their (non-|0⟩) content.
     #[test]
     fn program_frame_on_excited_state_matches_unfused(c in arb_routed_circuit(6, 30)) {
         let _recorder = shared_recorder();
@@ -234,7 +354,7 @@ proptest! {
         );
         // Stronger than the contract: chunking must not reassociate any
         // floating-point operation, so the match is exact.
-        prop_assert_eq!(serial.amplitudes(), parallel.amplitudes());
+        prop_assert_eq!(serial.to_dense(), parallel.to_dense());
     }
 
     /// Threading and fusion composed still match the serial reference.
@@ -255,8 +375,8 @@ proptest! {
         prop_assert!(max_amp_diff(&reference, &tuned) < 1e-12);
     }
 
-    /// The program frame (relabels, gather, compaction, scatter) is
-    /// bit-identical across thread counts.
+    /// The storage frame (relabels, widening) is bit-identical across
+    /// thread counts.
     #[test]
     fn program_frame_thread_counts_match_serial(
         c in arb_routed_circuit(7, 30),
@@ -268,18 +388,18 @@ proptest! {
             .with_crossover_qubits(0);
         let serial = StateVector::from_circuit_with(&c, &SimOptions::serial());
         let parallel = StateVector::from_circuit_with(&c, &threaded);
-        prop_assert_eq!(serial.amplitudes(), parallel.amplitudes());
+        prop_assert_eq!(serial.to_dense(), parallel.to_dense());
         let mut serial = excited_state(7);
         serial.apply_circuit_with(&c, &SimOptions::serial());
         let mut parallel = excited_state(7);
         parallel.apply_circuit_with(&c, &threaded);
-        prop_assert_eq!(serial.amplitudes(), parallel.amplitudes());
+        prop_assert_eq!(serial.to_dense(), parallel.to_dense());
     }
 
     /// Trajectories with frequent forced Pauli injections (each flushes
-    /// and materializes pending relabels) match the unfused engine: the
-    /// random stream does not depend on the state, so both runs inject
-    /// the same Paulis at the same points.
+    /// the open runs and lands through the relabelled frame) match the
+    /// unfused engine: the random stream does not depend on the state, so
+    /// both runs inject the same Paulis at the same points.
     #[test]
     fn trajectories_with_injections_match_unfused(c in arb_routed_circuit(6, 30), seed in 0u64..1000) {
         let _recorder = shared_recorder();
@@ -294,7 +414,7 @@ proptest! {
         let a = fused.run_trajectory(&c, &mut StdRng::seed_from_u64(seed));
         let b = unfused.run_trajectory(&c, &mut StdRng::seed_from_u64(seed));
         prop_assert!(max_amp_diff(&a, &b) < 1e-12);
-        // The reused applier (one gather scratch across trajectories).
+        // The reused state and applier across trajectories.
         let ideal = StateVector::from_circuit(&c);
         let fa = fused.mean_fidelity(&c, &ideal, 4, &mut StdRng::seed_from_u64(seed));
         let fb = unfused.mean_fidelity(&c, &ideal, 4, &mut StdRng::seed_from_u64(seed));
@@ -303,8 +423,9 @@ proptest! {
 }
 
 /// A routed melbourne p-level QAOA circuit: each routed cost layer is one
-/// fused diagonal pass, every SWAP is a relabel, and the dispatch section
-/// still accounts for every unitary.
+/// fused diagonal pass, every SWAP is a relabel, only the 12 live wires are
+/// ever stored (`2^12` amplitudes, never permuted into the 15-wire frame),
+/// and the dispatch section still accounts for every unitary.
 #[test]
 fn routed_qaoa_fuses_one_diagonal_run_per_level() {
     let topo = Topology::ibmq_16_melbourne();
@@ -358,15 +479,16 @@ fn routed_qaoa_fuses_one_diagonal_run_per_level() {
             assert_eq!(runs, p as u64, "one fused diagonal pass per level");
             assert_eq!(counter("qsim/dispatch/swap"), 0);
             assert_eq!(counter("qsim/dispatch/relabel"), swaps);
-            // The single materialization: compacting 15 wires to 12 ends
-            // in one scatter.
-            assert_eq!(counter("qsim/dispatch/permute"), 1);
+            assert_eq!(counter("qsim/dispatch/permute"), 0);
+            assert_eq!(
+                manifest.gauges.get("qsim/peak_live_amplitudes").copied(),
+                Some(1 << n),
+                "only the live wires are stored"
+            );
             let unitary_dispatches: u64 = manifest
                 .counters
                 .iter()
-                .filter(|(k, _)| {
-                    k.starts_with("qsim/dispatch/") && k.as_str() != "qsim/dispatch/permute"
-                })
+                .filter(|(k, _)| k.starts_with("qsim/dispatch/"))
                 .map(|(_, v)| v)
                 .sum();
             assert_eq!(unitary_dispatches, unitaries);

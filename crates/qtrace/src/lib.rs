@@ -599,6 +599,18 @@ pub fn take(name: &str) -> Manifest {
     GLOBAL.take_manifest(name)
 }
 
+/// FNV-1a 64 over raw bytes: a fast, dependency-free, stable hash for
+/// checksums and seeds that must not change between builds (corruption
+/// *detection*, not authentication).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 /// Milliseconds since the Unix epoch (0 if the clock predates it).
 fn unix_ms() -> u64 {
     std::time::SystemTime::now()
@@ -610,6 +622,13 @@ fn unix_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn disabled_recorder_measures_but_records_nothing() {
