@@ -6,8 +6,8 @@ use qroute::RouteError;
 
 /// Why the pipeline could not produce a [`crate::CompiledCircuit`].
 ///
-/// The fallible entry points ([`crate::try_compile`],
-/// [`crate::try_compile_with_context`], [`crate::compile_batch`]) return
+/// The fallible entry points ([`crate::try_compile_with_context`],
+/// [`crate::try_compile_artifact_with_context`], [`crate::compile_batch`]) return
 /// these instead of panicking, so failures cross thread and API boundaries
 /// as values. The legacy [`crate::compile`] wrapper converts them back
 /// into panics with the same messages the pre-refactor asserts produced.

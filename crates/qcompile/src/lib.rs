@@ -62,10 +62,9 @@ pub use cancel::CancelToken;
 pub use error::CompileError;
 pub use explain::{Explain, ExplainLayer, ExplainPass, EXPLAIN_VERSION};
 pub use pipeline::{
-    compile, compile_artifact, try_compile, try_compile_artifact,
-    try_compile_artifact_with_context, try_compile_artifact_with_context_cancellable,
-    try_compile_with_context, try_compile_with_context_cancellable, Compilation, CompileOptions,
-    CompiledCircuit, InitialMapping, Resilience, FULL_VERIFY_MAX_QUBITS,
+    compile, compile_artifact, try_compile_artifact_with_context,
+    try_compile_artifact_with_context_cancellable, try_compile_with_context, Compilation,
+    CompileOptions, CompiledCircuit, InitialMapping, Resilience, FULL_VERIFY_MAX_QUBITS,
 };
 pub use program::{CompiledArtifact, CphaseOp, ProgramProfile, QaoaSpec};
 pub use trace::{FallbackReason, FallbackRecord, PassRecord, PassTrace};

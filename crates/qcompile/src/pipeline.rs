@@ -424,7 +424,8 @@ impl CompiledCircuit {
 ///
 /// Panics if VIC is requested without calibration, the program does not
 /// fit the topology, or `options.packing_limit` is `Some(0)`. Use
-/// [`try_compile`] to receive these as [`CompileError`] values instead.
+/// [`try_compile_with_context`] to receive these as [`CompileError`]
+/// values instead.
 pub fn compile<R: Rng + ?Sized>(
     spec: &QaoaSpec,
     topology: &Topology,
@@ -432,32 +433,21 @@ pub fn compile<R: Rng + ?Sized>(
     options: &CompileOptions,
     rng: &mut R,
 ) -> CompiledCircuit {
-    match try_compile(spec, topology, calibration, options, rng) {
-        Ok(compiled) => compiled,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`compile`]: structured errors instead of panics.
-pub fn try_compile<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    topology: &Topology,
-    calibration: Option<&Calibration>,
-    options: &CompileOptions,
-    rng: &mut R,
-) -> Result<CompiledCircuit, CompileError> {
     // The shared cache means repeated per-call compiles against the same
     // (topology, calibration epoch) — retry loops, ladders, scripts that
     // never build a context — pay Floyd–Warshall once, not per call.
     let context = HardwareContext::shared(topology, calibration);
-    try_compile_with_context(spec, &context, options, rng)
+    match try_compile_with_context(spec, &context, options, rng) {
+        Ok(compiled) => compiled,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Compiles against a prebuilt [`HardwareContext`], sharing its cached
 /// distance matrices and connectivity profile across every pass — no
 /// Floyd–Warshall or profiling recomputation happens during the run.
 ///
-/// This is the core entry point; [`compile`]/[`try_compile`] wrap it, and
+/// This is the core entry point; [`compile`] wraps it, and
 /// [`crate::compile_batch`] fans it out across worker threads. When
 /// `options.resilience.fallback` is set, failures degrade down the
 /// VIC → IC → NAIVE ladder (see [`Resilience`]) instead of erroring; a
@@ -469,29 +459,9 @@ pub fn try_compile_with_context<R: Rng + ?Sized>(
     options: &CompileOptions,
     rng: &mut R,
 ) -> Result<CompiledCircuit, CompileError> {
-    try_compile_with_context_cancellable(spec, context, options, rng, CancelToken::never())
-}
-
-/// [`try_compile_with_context`] with a cooperative [`CancelToken`].
-///
-/// The pipeline polls `cancel` at every pass boundary (the same points
-/// the per-pass budgets are checked) and before each degradation-ladder
-/// rung; a tripped token aborts the run with
-/// [`CompileError::Cancelled`] without attempting further rungs. This
-/// is how a serving layer bounds a wedged or slow compile: trip the
-/// token from the admission thread and the worker returns within one
-/// pass.
-pub fn try_compile_with_context_cancellable<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    context: &HardwareContext,
-    options: &CompileOptions,
-    rng: &mut R,
-    cancel: &CancelToken,
-) -> Result<CompiledCircuit, CompileError> {
     // Erase the caller's RNG type once so trait-object passes can share it.
     let mut reborrow: &mut R = rng;
-    let rng: &mut dyn RngCore = &mut reborrow;
-    compile_with_ladder(spec, context, options, rng, cancel)
+    compile_with_ladder(spec, context, options, &mut reborrow, CancelToken::never())
 }
 
 /// Compiles a (typically parametric) QAOA program into a reusable
@@ -500,8 +470,8 @@ pub fn try_compile_with_context_cancellable<R: Rng + ?Sized>(
 ///
 /// # Panics
 ///
-/// Same conditions as [`compile`]; use [`try_compile_artifact`] for
-/// structured errors.
+/// Same conditions as [`compile`]; use
+/// [`try_compile_artifact_with_context`] for structured errors.
 pub fn compile_artifact<R: Rng + ?Sized>(
     spec: &QaoaSpec,
     topology: &Topology,
@@ -509,25 +479,15 @@ pub fn compile_artifact<R: Rng + ?Sized>(
     options: &CompileOptions,
     rng: &mut R,
 ) -> CompiledArtifact {
-    match try_compile_artifact(spec, topology, calibration, options, rng) {
+    let context = HardwareContext::shared(topology, calibration);
+    match try_compile_artifact_with_context(spec, &context, options, rng) {
         Ok(artifact) => artifact,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Fallible form of [`compile_artifact`].
-pub fn try_compile_artifact<R: Rng + ?Sized>(
-    spec: &QaoaSpec,
-    topology: &Topology,
-    calibration: Option<&Calibration>,
-    options: &CompileOptions,
-    rng: &mut R,
-) -> Result<CompiledArtifact, CompileError> {
-    let context = HardwareContext::shared(topology, calibration);
-    try_compile_artifact_with_context(spec, &context, options, rng)
-}
-
-/// [`try_compile_artifact`] against a prebuilt [`HardwareContext`].
+/// Fallible form of [`compile_artifact`], against a prebuilt
+/// [`HardwareContext`].
 pub fn try_compile_artifact_with_context<R: Rng + ?Sized>(
     spec: &QaoaSpec,
     context: &HardwareContext,
@@ -539,8 +499,15 @@ pub fn try_compile_artifact_with_context<R: Rng + ?Sized>(
 }
 
 /// [`try_compile_artifact_with_context`] with a cooperative
-/// [`CancelToken`] — see
-/// [`try_compile_with_context_cancellable`] for the polling contract.
+/// [`CancelToken`].
+///
+/// The pipeline polls `cancel` at every pass boundary (the same points
+/// the per-pass budgets are checked) and before each degradation-ladder
+/// rung; a tripped token aborts the run with
+/// [`CompileError::Cancelled`] without attempting further rungs. This
+/// is how a serving layer bounds a wedged or slow compile: trip the
+/// token from the admission thread and the worker returns within one
+/// pass.
 pub fn try_compile_artifact_with_context_cancellable<R: Rng + ?Sized>(
     spec: &QaoaSpec,
     context: &HardwareContext,
@@ -548,7 +515,8 @@ pub fn try_compile_artifact_with_context_cancellable<R: Rng + ?Sized>(
     rng: &mut R,
     cancel: &CancelToken,
 ) -> Result<CompiledArtifact, CompileError> {
-    let template = try_compile_with_context_cancellable(spec, context, options, rng, cancel)?;
+    let mut reborrow: &mut R = rng;
+    let template = compile_with_ladder(spec, context, options, &mut reborrow, cancel)?;
     Ok(CompiledArtifact::new(template, spec.num_params()))
 }
 
@@ -1068,12 +1036,14 @@ mod tests {
         let spec = spec_20_node(1, 0.3);
         let topo = Topology::ibmq_20_tokyo();
         let mut rng = StdRng::seed_from_u64(2);
-        let err = try_compile(&spec, &topo, None, &CompileOptions::vic(), &mut rng).unwrap_err();
-        assert_eq!(err, CompileError::MissingCalibration);
-        let context = HardwareContext::new(topo);
-        let err = try_compile_with_context(&spec, &context, &CompileOptions::vic(), &mut rng)
-            .unwrap_err();
-        assert_eq!(err, CompileError::MissingCalibration);
+        for context in [
+            HardwareContext::shared(&topo, None),
+            Arc::new(HardwareContext::new(topo)),
+        ] {
+            let err = try_compile_with_context(&spec, &context, &CompileOptions::vic(), &mut rng)
+                .unwrap_err();
+            assert_eq!(err, CompileError::MissingCalibration);
+        }
     }
 
     #[test]
@@ -1082,7 +1052,8 @@ mod tests {
         let topo = Topology::ibmq_20_tokyo();
         let mut rng = StdRng::seed_from_u64(2);
         let options = CompileOptions::ic().with_packing_limit(0);
-        let err = try_compile(&spec, &topo, None, &options, &mut rng).unwrap_err();
+        let context = HardwareContext::shared(&topo, None);
+        let err = try_compile_with_context(&spec, &context, &options, &mut rng).unwrap_err();
         assert_eq!(err, CompileError::ZeroPackingLimit);
     }
 

@@ -398,7 +398,7 @@ impl QaoaSpec {
 /// the compile-vs-rebind economics show up in run manifests.
 ///
 /// Build one with [`crate::compile_artifact`] /
-/// [`crate::try_compile_artifact`].
+/// [`crate::try_compile_artifact_with_context`].
 #[derive(Debug, Clone)]
 pub struct CompiledArtifact {
     template: CompiledCircuit,

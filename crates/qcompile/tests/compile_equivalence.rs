@@ -18,8 +18,8 @@
 use proptest::prelude::*;
 use qcompile::reference;
 use qcompile::{
-    compile_batch, ic, ip, mapping, try_compile, try_compile_with_context, BatchJob,
-    CompileOptions, CphaseOp, QaoaSpec,
+    compile_batch, ic, ip, mapping, try_compile_with_context, BatchJob, CompileOptions, CphaseOp,
+    QaoaSpec,
 };
 use qhw::{Calibration, HardwareContext, Topology};
 use qroute::{route_append, try_route, Layout, RoutingMetric};
@@ -218,7 +218,9 @@ fn pipeline_runs_are_byte_identical_across_entry_points_and_ladder() {
             .unwrap();
         let b = try_compile_with_context(&spec, &context, options, &mut StdRng::seed_from_u64(5))
             .unwrap();
-        let c = try_compile(&spec, &topo, None, options, &mut StdRng::seed_from_u64(5)).unwrap();
+        let shared = HardwareContext::shared(&topo, None);
+        let c = try_compile_with_context(&spec, &shared, options, &mut StdRng::seed_from_u64(5))
+            .unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b), "{name}: rerun diverged");
         assert_eq!(
             fingerprint(&a),

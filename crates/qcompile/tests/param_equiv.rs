@@ -10,8 +10,11 @@
 
 use proptest::prelude::*;
 use qaoa::{MaxCut, QaoaParams};
-use qcompile::{try_compile, try_compile_artifact, CompileOptions, CompiledCircuit, QaoaSpec};
-use qhw::Topology;
+use qcompile::{
+    try_compile_artifact_with_context, try_compile_with_context, CompileOptions, CompiledCircuit,
+    QaoaSpec,
+};
+use qhw::{HardwareContext, Topology};
 use qsim::StateVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,10 +69,9 @@ proptest! {
 
         // Path A: bind the spec, then compile the bound program.
         let bound_spec = QaoaSpec::from_maxcut(&problem, &params, false);
-        let via_recompile = try_compile(
+        let via_recompile = try_compile_with_context(
             &bound_spec,
-            &topo,
-            None,
+            &HardwareContext::shared(&topo, None),
             &options,
             &mut StdRng::seed_from_u64(seed),
         )
@@ -77,10 +79,9 @@ proptest! {
 
         // Path B: compile the parametric spec once, then bind values.
         let spec = QaoaSpec::from_maxcut_parametric(&problem, p, false);
-        let artifact = try_compile_artifact(
+        let artifact = try_compile_artifact_with_context(
             &spec,
-            &topo,
-            None,
+            &HardwareContext::shared(&topo, None),
             &options,
             &mut StdRng::seed_from_u64(seed),
         )
@@ -118,10 +119,9 @@ proptest! {
         let problem = MaxCut::without_optimum(graph);
         let p = levels.len();
         let spec = QaoaSpec::from_maxcut_parametric(&problem, p, false);
-        let artifact = try_compile_artifact(
+        let artifact = try_compile_artifact_with_context(
             &spec,
-            &Topology::grid(3, 3),
-            None,
+            &HardwareContext::shared(&Topology::grid(3, 3), None),
             &CompileOptions::ic(),
             &mut StdRng::seed_from_u64(seed),
         )
@@ -144,10 +144,9 @@ fn binding_with_wrong_arity_is_a_structured_error() {
     let graph = qgraph::Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
     let problem = MaxCut::without_optimum(graph);
     let spec = QaoaSpec::from_maxcut_parametric(&problem, 2, false);
-    let artifact = try_compile_artifact(
+    let artifact = try_compile_artifact_with_context(
         &spec,
-        &Topology::grid(3, 3),
-        None,
+        &HardwareContext::shared(&Topology::grid(3, 3), None),
         &CompileOptions::ic(),
         &mut StdRng::seed_from_u64(7),
     )

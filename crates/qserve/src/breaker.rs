@@ -114,6 +114,8 @@ enum BreakerState {
 pub(crate) struct CircuitBreaker {
     config: BreakerConfig,
     state: BreakerState,
+    /// Open transitions since startup.
+    pub trips: u64,
 }
 
 /// What the breaker said about admitting one compile.
@@ -147,6 +149,7 @@ impl CircuitBreaker {
         CircuitBreaker {
             config,
             state: BreakerState::Closed { failures: 0 },
+            trips: 0,
         }
     }
 
@@ -189,7 +192,7 @@ impl CircuitBreaker {
         if self.config.failure_threshold == 0 {
             return BreakerTransition::None;
         }
-        match (&mut self.state, success) {
+        let transition = match (&mut self.state, success) {
             (BreakerState::Closed { .. }, true) => {
                 self.state = BreakerState::Closed { failures: 0 };
                 BreakerTransition::None
@@ -197,9 +200,6 @@ impl CircuitBreaker {
             (BreakerState::Closed { failures }, false) => {
                 *failures += 1;
                 if *failures >= self.config.failure_threshold {
-                    self.state = BreakerState::Open {
-                        until: now + self.config.cooldown_ticks,
-                    };
                     BreakerTransition::Tripped
                 } else {
                     BreakerTransition::None
@@ -209,16 +209,18 @@ impl CircuitBreaker {
                 self.state = BreakerState::Closed { failures: 0 };
                 BreakerTransition::Closed
             }
-            (BreakerState::HalfOpen, false) => {
-                self.state = BreakerState::Open {
-                    until: now + self.config.cooldown_ticks,
-                };
-                BreakerTransition::Tripped
-            }
+            (BreakerState::HalfOpen, false) => BreakerTransition::Tripped,
             // A straggler completing while the breaker is open (e.g. a
             // pre-trip job finishing late) does not move the state.
             (BreakerState::Open { .. }, _) => BreakerTransition::None,
+        };
+        if transition == BreakerTransition::Tripped {
+            self.state = BreakerState::Open {
+                until: now + self.config.cooldown_ticks,
+            };
+            self.trips += 1;
         }
+        transition
     }
 
     /// Whether the breaker is currently open (for stats snapshots).

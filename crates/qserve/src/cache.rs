@@ -159,6 +159,15 @@ pub(crate) struct Completion {
     pub ready: Condvar,
 }
 
+impl Completion {
+    /// Publishes `result` (the `served_order`-th resolution) to every
+    /// requester waiting on this slot.
+    pub fn fill(&self, result: Result<Arc<CompiledArtifact>, ServeError>, served_order: u64) {
+        *self.slot.lock().expect("completion lock") = Some((result, served_order, Instant::now()));
+        self.ready.notify_all();
+    }
+}
+
 /// What a cache bucket entry currently holds.
 #[derive(Debug, Clone)]
 pub(crate) enum SlotState {
@@ -232,6 +241,13 @@ pub(crate) struct ArtifactCache {
     len: usize,
     tick: u64,
     next_id: u64,
+    /// Entries evicted to make room (LRU).
+    pub evictions: u64,
+    /// Entries dropped by calibration invalidation.
+    pub invalidated: u64,
+    /// Negative entries reaped at lookup once their TTL lapsed (each
+    /// one re-admits the compile — the retry count).
+    pub negative_expired: u64,
 }
 
 impl ArtifactCache {
@@ -243,6 +259,9 @@ impl ArtifactCache {
             len: 0,
             tick: 0,
             next_id: 0,
+            evictions: 0,
+            invalidated: 0,
+            negative_expired: 0,
         }
     }
 
@@ -275,6 +294,7 @@ impl ArtifactCache {
                 self.recency.remove(&entry.last_used);
                 let id = entry.id;
                 self.remove_entry(fp, id);
+                self.negative_expired += 1;
                 return Lookup::ExpiredNegative { strikes };
             }
         }
@@ -328,19 +348,7 @@ impl ArtifactCache {
         key: CacheKey,
         completion: Arc<Completion>,
     ) -> (u64, Vec<u64>) {
-        let evicted = self.evict_to_capacity();
-        self.tick += 1;
-        let id = self.next_id;
-        self.next_id += 1;
-        self.buckets.entry(fp).or_default().push(Entry {
-            id,
-            key,
-            state: SlotState::Pending(completion),
-            last_used: self.tick,
-        });
-        self.recency.insert(self.tick, (fp, id));
-        self.len += 1;
-        (id, evicted)
+        self.insert(fp, key, SlotState::Pending(completion))
     }
 
     /// Inserts an already-compiled artifact (warm-start recovery),
@@ -351,6 +359,10 @@ impl ArtifactCache {
         key: CacheKey,
         artifact: Arc<CompiledArtifact>,
     ) -> Vec<u64> {
+        self.insert(fp, key, SlotState::Ready(artifact)).1
+    }
+
+    fn insert(&mut self, fp: u64, key: CacheKey, state: SlotState) -> (u64, Vec<u64>) {
         let evicted = self.evict_to_capacity();
         self.tick += 1;
         let id = self.next_id;
@@ -358,12 +370,12 @@ impl ArtifactCache {
         self.buckets.entry(fp).or_default().push(Entry {
             id,
             key,
-            state: SlotState::Ready(artifact),
+            state,
             last_used: self.tick,
         });
         self.recency.insert(self.tick, (fp, id));
         self.len += 1;
-        evicted
+        (id, evicted)
     }
 
     fn evict_to_capacity(&mut self) -> Vec<u64> {
@@ -375,6 +387,7 @@ impl ArtifactCache {
             self.remove_entry(victim_fp, victim_id);
             evicted.push(victim_fp);
         }
+        self.evictions += evicted.len() as u64;
         evicted
     }
 
@@ -445,6 +458,7 @@ impl ArtifactCache {
                 .is_some_and(|b| b.iter().any(|e| e.id == *id))
         });
         self.len -= dropped.len();
+        self.invalidated += dropped.len() as u64;
         dropped
     }
 

@@ -106,6 +106,8 @@ pub(crate) struct PoisonLedger {
     threshold: u32,
     strikes: std::collections::HashMap<u64, Strikes>,
     quarantined: std::collections::HashMap<u64, QuarantineReason>,
+    /// Quarantines imposed since startup (releases do not subtract).
+    pub added: u64,
 }
 
 impl PoisonLedger {
@@ -130,39 +132,37 @@ impl PoisonLedger {
     /// Records one panic strike; returns the reason iff this strike
     /// quarantined the spec.
     pub fn strike_panic(&mut self, spec_fp: u64) -> Option<QuarantineReason> {
-        if self.threshold == 0 || self.quarantined.contains_key(&spec_fp) {
-            return None;
-        }
-        let s = self.strikes.entry(spec_fp).or_default();
-        s.panics += 1;
-        if s.panics + s.timeouts >= self.threshold {
-            let reason = QuarantineReason::Panicked {
-                strikes: s.panics + s.timeouts,
-            };
-            self.quarantined.insert(spec_fp, reason);
-            Some(reason)
-        } else {
-            None
-        }
+        self.strike(spec_fp, true)
     }
 
     /// Records one timeout (in-flight cancellation) strike; returns the
     /// reason iff this strike quarantined the spec.
     pub fn strike_timeout(&mut self, spec_fp: u64) -> Option<QuarantineReason> {
+        self.strike(spec_fp, false)
+    }
+
+    fn strike(&mut self, spec_fp: u64, panicked: bool) -> Option<QuarantineReason> {
         if self.threshold == 0 || self.quarantined.contains_key(&spec_fp) {
             return None;
         }
         let s = self.strikes.entry(spec_fp).or_default();
-        s.timeouts += 1;
-        if s.panics + s.timeouts >= self.threshold {
-            let reason = QuarantineReason::TimedOut {
-                strikes: s.panics + s.timeouts,
-            };
-            self.quarantined.insert(spec_fp, reason);
-            Some(reason)
+        if panicked {
+            s.panics += 1;
         } else {
-            None
+            s.timeouts += 1;
         }
+        let strikes = s.panics + s.timeouts;
+        if strikes < self.threshold {
+            return None;
+        }
+        let reason = if panicked {
+            QuarantineReason::Panicked { strikes }
+        } else {
+            QuarantineReason::TimedOut { strikes }
+        };
+        self.quarantined.insert(spec_fp, reason);
+        self.added += 1;
+        Some(reason)
     }
 
     /// Clears the strikes and quarantine of `spec_fp` (the operator
@@ -187,6 +187,8 @@ struct InflightEntry {
 #[derive(Debug, Default)]
 pub(crate) struct InflightDeadlines {
     entries: Vec<InflightEntry>,
+    /// Compiles cancelled by a sweep since startup.
+    pub cancelled: u64,
 }
 
 impl InflightDeadlines {
@@ -205,7 +207,7 @@ impl InflightDeadlines {
     }
 
     /// Trips the token of every entry whose deadline has passed at
-    /// `now`, removing it. Returns how many were cancelled.
+    /// `now`, removing it. Returns how many this sweep cancelled.
     pub fn sweep(&mut self, now: u64) -> u64 {
         let before = self.entries.len();
         self.entries.retain(|e| {
@@ -216,7 +218,9 @@ impl InflightDeadlines {
                 true
             }
         });
-        (before - self.entries.len()) as u64
+        let cancelled = (before - self.entries.len()) as u64;
+        self.cancelled += cancelled;
+        cancelled
     }
 }
 

@@ -16,13 +16,15 @@
 //!   (the sweep tick for queue reaps, the deadline itself for in-flight
 //!   cancellations), which is equally a pure function of the request
 //!   stream.
-//! * **Tenant metrics** — per-tenant counters, an error-code breakdown
-//!   keyed by [`crate::ServeError::code`], per-spec request counts, and
-//!   four log2 histograms: deterministic `e2e_ticks` plus wall-time
-//!   `queue_wait_ns` / `compile_ns` / `e2e_ns` (the `_ns` suffix is a
-//!   contract — `qtrace::Manifest::normalized` zeroes those, and the
-//!   regress gate skips their means). Exact p50/p90/p99 latencies ride
-//!   on the `qserve/tenant/<t>/...` spans recorded alongside.
+//! * **Tenant metrics** — per-tenant counters (the one source of the
+//!   per-request outcome counts [`crate::ServiceStats`] sums), an
+//!   error-code breakdown keyed by [`crate::ServeError::code`],
+//!   per-spec request counts, and four log2 histograms: deterministic
+//!   `e2e_ticks` plus wall-time `queue_wait_ns` / `compile_ns` /
+//!   `e2e_ns` (the `_ns` suffix is a contract —
+//!   `qtrace::Manifest::normalized` zeroes those, and the regress gate
+//!   skips their means). Exact p50/p90/p99 latencies ride on the
+//!   `qserve/tenant/<t>/...` spans recorded alongside.
 //! * **Journal** — every failure-plane action (breaker trip / probe /
 //!   close, quarantine add / release, negative-cache strike / expiry,
 //!   calibration reloads with their invalidation counts, spill recovery
@@ -494,14 +496,17 @@ impl TenantMetrics {
     }
 }
 
-/// A pending-hit request whose terminal settlement is deferred to the
-/// producing compile's fill. The lifecycle stamp stays the waiter's
-/// *admit* tick and the settlement stage is the compile's deterministic
-/// outcome, so whether the slot happened to be filled before or after
-/// the waiter arrived — a pure wall-clock race — never changes a byte
-/// of the exported artifacts.
-#[derive(Debug)]
-pub(crate) struct Waiter {
+/// Who an admitted request is: its id, tenant queue index, and when it
+/// was admitted on the logical and the wall clock — everything a
+/// terminal transition needs.
+///
+/// A pending-hit requester is parked on the producing compile and
+/// settles with it: its lifecycle stamp stays its own *admit* tick and
+/// its stage is the compile's deterministic outcome, so whether the
+/// slot happened to be filled before or after it arrived — a pure
+/// wall-clock race — never changes a byte of the exported artifacts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Requester {
     pub req_id: u64,
     pub tenant: usize,
     pub admit_tick: u64,
@@ -519,11 +524,14 @@ pub(crate) struct OpsState {
     /// [`SPEC_CAP`] distinct keys.
     pub specs: BTreeMap<u64, u64>,
     pub spec_overflow: u64,
+    /// Order-sensitive fingerprint folded over every admission outcome
+    /// (see [`OpsState::note`]).
+    pub sequence_fp: u64,
     /// Parked pending-hit waiters, keyed by the cache **entry id** of
     /// the reservation they coalesced onto (== the producing job's id;
     /// a fingerprint key would be ambiguous if a pending entry is
     /// evicted and the key re-reserved).
-    waiters: HashMap<u64, Vec<Waiter>>,
+    waiters: HashMap<u64, Vec<Requester>>,
 }
 
 impl OpsState {
@@ -534,27 +542,26 @@ impl OpsState {
             tenants: vec![TenantMetrics::default(); tenants],
             specs: BTreeMap::new(),
             spec_overflow: 0,
+            sequence_fp: 0,
             waiters: HashMap::new(),
         }
     }
 
     /// Parks a pending-hit request on the reservation it coalesced
-    /// onto; [`OpsState::take_waiters`] settles it when that
-    /// reservation resolves.
-    pub fn park(&mut self, entry_id: u64, waiter: Waiter) {
+    /// onto; [`OpsState::settle`] settles it when that reservation
+    /// resolves.
+    pub fn park(&mut self, entry_id: u64, waiter: Requester) {
         self.waiters.entry(entry_id).or_default().push(waiter);
     }
 
-    /// Drains the waiters parked on `entry_id` (admission order).
-    pub fn take_waiters(&mut self, entry_id: u64) -> Vec<Waiter> {
-        self.waiters.remove(&entry_id).unwrap_or_default()
-    }
-
-    /// Records one admission: opens the lifecycle trace and bumps the
-    /// tenant and spec request counters.
-    pub fn on_admit(&mut self, id: u64, tenant: usize, spec_fp: u64, key_fp: u64, tick: u64) {
-        self.lifecycle.open(id, tenant as u32, spec_fp, key_fp, tick);
+    /// Records one admission: bumps the tenant and spec request
+    /// counters and opens the lifecycle trace. Returns the request id —
+    /// the admission ordinal, i.e. the tenant request counts summed.
+    pub fn on_admit(&mut self, tenant: usize, spec_fp: u64, key_fp: u64, tick: u64) -> u64 {
         self.tenants[tenant].requests += 1;
+        let id = self.tenants.iter().map(|m| m.requests).sum();
+        self.lifecycle
+            .open(id, tenant as u32, spec_fp, key_fp, tick);
         if let Some(slot) = self.specs.get_mut(&spec_fp) {
             *slot += 1;
         } else if self.specs.len() < SPEC_CAP {
@@ -562,34 +569,60 @@ impl OpsState {
         } else {
             self.spec_overflow += 1;
         }
+        id
     }
 
-    /// Records a request's terminal transition: lifecycle, terminal
-    /// counter, error-code breakdown, deterministic tick latency, and
-    /// the wall-time end-to-end histogram + span.
-    #[allow(clippy::too_many_arguments)]
+    /// Folds one admission outcome — the key fingerprint `fp` and its
+    /// classification `code` — into the order-sensitive sequence
+    /// fingerprint (FNV-style).
+    pub fn note(&mut self, fp: u64, code: u8) {
+        let fold = fp.rotate_left(u32::from(code) * 8) ^ u64::from(code);
+        self.sequence_fp = (self.sequence_fp ^ fold).wrapping_mul(0x100_0000_01b3);
+    }
+
+    /// Records a request's terminal transition at `stamp_tick`:
+    /// lifecycle, terminal counter, error-code breakdown, deterministic
+    /// tick latency, and the wall-time end-to-end histogram + span.
     pub fn finish(
         &mut self,
-        id: u64,
-        tenant: usize,
+        who: &Requester,
         stage: Stage,
-        admit_tick: u64,
         stamp_tick: u64,
         error: Option<&'static str>,
-        e2e: Duration,
     ) {
-        self.lifecycle.push(id, stage, stamp_tick);
-        let m = &mut self.tenants[tenant];
+        let e2e = who.admit_at.elapsed();
+        self.lifecycle.push(who.req_id, stage, stamp_tick);
+        let m = &mut self.tenants[who.tenant];
         m.note_terminal(stage);
         if let Some(code) = error {
             *m.errors.entry(code).or_insert(0) += 1;
         }
-        m.e2e_ticks.record(stamp_tick.saturating_sub(admit_tick));
+        m.e2e_ticks
+            .record(stamp_tick.saturating_sub(who.admit_tick));
         m.e2e_ns
             .record(u64::try_from(e2e.as_nanos()).unwrap_or(u64::MAX));
         let q = qtrace::global();
         if q.is_enabled() {
-            q.record_span(&format!("qserve/tenant/{tenant}/e2e"), e2e);
+            q.record_span(&format!("qserve/tenant/{}/e2e", who.tenant), e2e);
+        }
+    }
+
+    /// Settles a compile job's requester `origin` and every pending-hit
+    /// waiter parked on its reservation `entry_id` with one terminal:
+    /// the completion hands them all the same result. Each is stamped
+    /// at `stamp`, or at its own admit tick when `None` (the
+    /// scheduler-reached terminals, see the module docs).
+    pub fn settle(
+        &mut self,
+        origin: &Requester,
+        entry_id: u64,
+        stage: Stage,
+        stamp: Option<u64>,
+        error: Option<&'static str>,
+    ) {
+        let parked = self.waiters.remove(&entry_id).unwrap_or_default();
+        for who in std::iter::once(origin).chain(&parked) {
+            self.finish(who, stage, stamp.unwrap_or(who.admit_tick), error);
         }
     }
 
@@ -838,26 +871,16 @@ mod tests {
     #[test]
     fn metrics_flush_emits_only_nonzero_series() {
         let mut ops = OpsState::new(&config(), 2);
-        ops.on_admit(1, 0, 0xA, 0xA1, 1);
-        ops.finish(
-            1,
-            0,
-            Stage::Completed,
-            1,
-            1,
-            None,
-            Duration::from_nanos(500),
-        );
-        ops.on_admit(2, 0, 0xB, 0xB1, 2);
-        ops.finish(
-            2,
-            0,
-            Stage::Throttled,
-            2,
-            2,
-            Some("throttled"),
-            Duration::from_nanos(100),
-        );
+        let requester = |req_id, admit_tick| Requester {
+            req_id,
+            tenant: 0,
+            admit_tick,
+            admit_at: Instant::now(),
+        };
+        assert_eq!(ops.on_admit(0, 0xA, 0xA1, 1), 1);
+        ops.finish(&requester(1, 1), Stage::Completed, 1, None);
+        assert_eq!(ops.on_admit(0, 0xB, 0xB1, 2), 2);
+        ops.finish(&requester(2, 2), Stage::Throttled, 2, Some("throttled"));
         let rec = qtrace::Recorder::new();
         rec.enable();
         ops.flush_metrics(&rec);
@@ -904,8 +927,7 @@ mod tests {
         ];
         let manifest = lifecycle_manifest("lc", &traces);
         assert_eq!(manifest.events.len(), 4);
-        let tids: std::collections::BTreeSet<u64> =
-            manifest.events.iter().map(|e| e.tid).collect();
+        let tids: std::collections::BTreeSet<u64> = manifest.events.iter().map(|e| e.tid).collect();
         assert_eq!(tids.into_iter().collect::<Vec<_>>(), vec![0, 3]);
         assert!(manifest
             .events

@@ -85,7 +85,7 @@ use crate::breaker::{
 };
 use crate::cache::{spec_fingerprint, ArtifactCache, CacheKey, Completion, Lookup, SlotState};
 use crate::deadline::{BackoffConfig, InflightDeadlines, PoisonLedger, QuarantineReason};
-use crate::ops::{JournalEvent, OpsConfig, OpsState, RequestTrace, Stage, Waiter};
+use crate::ops::{JournalEvent, OpsConfig, OpsState, RequestTrace, Requester, Stage};
 use crate::spill::SpillStore;
 
 /// Why the service could not produce an artifact.
@@ -376,8 +376,12 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Deterministic counters mirrored from the `qserve/*` qtrace series,
-/// readable without draining the recorder.
+/// Deterministic service counters, derived on demand from the
+/// structures that own them: per-request outcomes are summed over the
+/// per-tenant registry, per-event counts come from the cache, deadline
+/// plane, poison ledger, breakers and spill store (DESIGN.md §5.10).
+/// [`Service::flush_telemetry`] emits the `qserve/*` qtrace series from
+/// this same snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests admitted (including warm calls).
@@ -417,6 +421,8 @@ pub struct ServiceStats {
     pub quarantine_rejects: u64,
     /// Programs currently quarantined.
     pub quarantined_specs: u64,
+    /// Quarantines imposed since startup (releases do not subtract).
+    pub quarantine_adds: u64,
     /// Circuit-breaker open transitions.
     pub breaker_trips: u64,
     /// Requests failed fast on an open breaker.
@@ -446,11 +452,8 @@ struct Job {
     seed: u64,
     /// Absolute logical-tick deadline, if any.
     deadline: Option<u64>,
-    admit_tick: u64,
-    /// Stable request id (admission ordinal) — the lifecycle-log key.
-    req_id: u64,
-    /// Admission wall instant, for the ops-plane latency histograms.
-    admit_at: Instant,
+    /// The request whose miss admitted this compile.
+    origin: Requester,
     /// Compile admission ordinal — the fault plane's key.
     fault_seq: u64,
     /// Consecutive prior failures of this key (from an expired negative
@@ -473,8 +476,11 @@ struct Inner {
     rr_cursor: usize,
     context: Arc<HardwareContext>,
     epoch: u64,
+    /// Calibration hot-reloads performed.
+    epoch_bumps: u64,
     topology_fp: u64,
-    stats: ServiceStats,
+    /// Queued jobs reaped because their deadline lapsed before dispatch.
+    deadline_reaped: u64,
     shutdown: bool,
     /// The logical clock: +1 per admission plus explicit advances.
     now: u64,
@@ -520,15 +526,13 @@ impl Service {
         let calibration_fp = calibration.as_ref().map(Calibration::fingerprint);
         let context = Arc::new(HardwareContext::from_parts(topology, calibration));
         let tenants = config.tenants.max(1);
-        let q = qtrace::global();
 
         // Warm-start recovery before the service goes live.
         let mut cache = ArtifactCache::new(config.cache_capacity);
-        let mut stats = ServiceStats::default();
         let mut ops = OpsState::new(&config.ops, tenants);
         let mut epoch = 0;
         let spill = config.spill_dir.clone().and_then(|dir| {
-            let store = SpillStore::new(dir).ok()?;
+            let mut store = SpillStore::new(dir).ok()?;
             // VIC spills are only trusted when the sidecar proves the
             // calibration is the one they were compiled against.
             let vic_epoch = match store.read_meta() {
@@ -542,30 +546,16 @@ impl Service {
                 }
                 None => None,
             };
-            let report = store.recover(topology_fp, vic_epoch);
-            for (fp, key, artifact) in report.entries {
+            for (fp, key, artifact) in store.recover(topology_fp, vic_epoch) {
                 for victim in cache.insert_ready(fp, key, artifact) {
                     store.unlink(victim);
-                    stats.evictions += 1;
                 }
-                stats.spill_recovered += 1;
-            }
-            stats.spill_corrupt = report.corrupt;
-            stats.spill_stale = report.stale;
-            if stats.spill_recovered > 0 {
-                q.add("qserve/spill/recovered", stats.spill_recovered);
-            }
-            if report.corrupt > 0 {
-                q.add("qserve/spill/corrupt", report.corrupt);
-            }
-            if report.stale > 0 {
-                q.add("qserve/spill/stale", report.stale);
             }
             ops.journal.push(
                 JournalEvent::new(0, "spill_recovery")
-                    .field("recovered", stats.spill_recovered)
-                    .field("corrupt", report.corrupt)
-                    .field("stale", report.stale)
+                    .field("recovered", store.recovered)
+                    .field("corrupt", store.corrupt)
+                    .field("stale", store.stale)
                     .field("epoch", epoch),
             );
             let _ = store.write_meta(epoch, calibration_fp);
@@ -579,8 +569,9 @@ impl Service {
             rr_cursor: 0,
             context,
             epoch,
+            epoch_bumps: 0,
             topology_fp,
-            stats,
+            deadline_reaped: 0,
             shutdown: false,
             now: 0,
             backoff: config.backoff,
@@ -652,17 +643,10 @@ impl Service {
 
     fn admit(&self, request: Request, mode: AdmitMode) -> Ticket<'_> {
         let submitted = Instant::now();
-        let q = qtrace::global();
         let mut inner = self.shared.inner.lock().expect("service lock");
         inner.now += 1;
         sweep_deadlines(&mut inner, &self.shared.served);
         let now = inner.now;
-        inner.stats.requests += 1;
-        // Stable request id: the admission ordinal, assigned under the
-        // submit lock — the key every lifecycle transition and journal
-        // line refers back to.
-        let req_id = inner.stats.requests;
-        q.add("qserve/requests", 1);
 
         let key = CacheKey::new(
             request.spec,
@@ -673,56 +657,35 @@ impl Service {
         let fp = key.fingerprint();
         let spec_fp = spec_fingerprint(&key.spec);
         let tenant_idx = request.tenant as usize % inner.queues.len();
-        inner.ops.on_admit(req_id, tenant_idx, spec_fp, fp, now);
+        // Stable request id: the admission ordinal, assigned under the
+        // submit lock — the key every lifecycle transition and journal
+        // line refers back to.
+        let who = Requester {
+            req_id: inner.ops.on_admit(tenant_idx, spec_fp, fp, now),
+            tenant: tenant_idx,
+            admit_tick: now,
+            admit_at: submitted,
+        };
         let mut strikes = 0;
         match inner.cache.lookup(fp, &key, now) {
             Lookup::Hit { state, entry_id } => {
-                inner.stats.hits += 1;
-                inner.note(fp, 2);
-                q.add("qserve/cache/hits", 1);
+                inner.ops.note(fp, 2);
                 inner.ops.tenants[tenant_idx].hits += 1;
                 match &state {
-                    SlotState::Ready(_) => {
-                        inner.ops.finish(
-                            req_id,
-                            tenant_idx,
-                            Stage::Completed,
-                            now,
-                            now,
-                            None,
-                            submitted.elapsed(),
-                        );
-                    }
+                    SlotState::Ready(_) => inner.ops.finish(&who, Stage::Completed, now, None),
                     SlotState::Failed { error, .. } => {
-                        let code = error.code();
-                        inner.ops.finish(
-                            req_id,
-                            tenant_idx,
-                            Stage::Failed,
-                            now,
-                            now,
-                            Some(code),
-                            submitted.elapsed(),
-                        );
+                        inner
+                            .ops
+                            .finish(&who, Stage::Failed, now, Some(error.code()));
                     }
-                    SlotState::Pending(_) => {
-                        // Whether the reservation is still pending or
-                        // already filled at this instant is a wall-clock
-                        // race against the workers, so the terminal is
-                        // *deferred*: the waiter parks on the producing
-                        // reservation and settles with that compile's
-                        // deterministic outcome, stamped at this admit
-                        // tick — identical bytes either way.
-                        inner.ops.park(
-                            entry_id,
-                            Waiter {
-                                req_id,
-                                tenant: tenant_idx,
-                                admit_tick: now,
-                                admit_at: submitted,
-                            },
-                        );
-                    }
+                    // Whether the reservation is still pending or
+                    // already filled at this instant is a wall-clock
+                    // race against the workers, so the terminal is
+                    // *deferred*: the waiter parks on the producing
+                    // reservation and settles with that compile's
+                    // deterministic outcome, stamped at this admit
+                    // tick — identical bytes either way.
+                    SlotState::Pending(_) => inner.ops.park(entry_id, who),
                 }
                 return self.resolve(state, Outcome::Hit, submitted);
             }
@@ -730,13 +693,11 @@ impl Service {
                 // The backoff window lapsed: retry the compile, but keep
                 // the failure history so the next TTL keeps growing.
                 strikes = prior;
-                inner.stats.negative_expired += 1;
-                q.add("qserve/negative/expired", 1);
                 inner.ops.journal.push(
                     JournalEvent::new(now, "negative_expire")
                         .tenant(tenant_idx as u32)
                         .spec(spec_fp)
-                        .request(req_id)
+                        .request(who.req_id)
                         .field("strikes", u64::from(prior)),
                 );
             }
@@ -755,144 +716,75 @@ impl Service {
             // rejected or throttled dispatches no compile, and without
             // the abort no completion would ever move the breaker out
             // of half-open again.
-            if let Some(reason) = inner.poison.quarantined(spec_fp) {
-                inner.stats.quarantine_rejects += 1;
-                inner.note(fp, 5);
-                q.add("qserve/quarantine/rejects", 1);
-                let error = ServeError::Quarantined { spec_fp, reason };
-                inner.ops.finish(
-                    req_id,
-                    tenant_idx,
-                    Stage::Quarantined,
-                    now,
-                    now,
-                    Some(error.code()),
-                    submitted.elapsed(),
-                );
-                return self.reject_now(error, Outcome::Quarantined, submitted);
-            }
-            match inner.breakers[tenant_idx].admit(now) {
-                BreakerDecision::Admit => {}
-                BreakerDecision::Probe => {
-                    probe = true;
-                    inner.ops.journal.push(
-                        JournalEvent::new(now, "breaker_probe")
-                            .tenant(tenant_idx as u32)
-                            .request(req_id),
-                    );
+            let early = 'gates: {
+                if let Some(reason) = inner.poison.quarantined(spec_fp) {
+                    let error = ServeError::Quarantined { spec_fp, reason };
+                    break 'gates Some((Outcome::Quarantined, fp, Err(error)));
                 }
-                BreakerDecision::Reject { retry_in } => {
-                    inner.stats.breaker_rejects += 1;
-                    inner.note(fp, 6);
-                    q.add("qserve/breaker/rejects", 1);
-                    let error = ServeError::CircuitOpen {
-                        tenant: request.tenant,
-                        retry_in,
-                    };
-                    inner.ops.finish(
-                        req_id,
-                        tenant_idx,
-                        Stage::CircuitOpen,
-                        now,
-                        now,
-                        Some(error.code()),
-                        submitted.elapsed(),
-                    );
-                    return self.reject_now(error, Outcome::BreakerOpen, submitted);
-                }
-            }
-
-            if inner.queued >= self.config.queue_capacity {
-                // Shed: serve a cached cheaper rung before rejecting. A
-                // negatively cached rung is no substitute — serving one
-                // key's error for another key's request helps nobody —
-                // and the probe is read-only: an expired negative rung
-                // keeps its strike history for its own next admission
-                // (see [`ArtifactCache::probe_servable`]).
-                for (steps, rung) in key.options.ladder().into_iter().enumerate().skip(1) {
-                    let alt = CacheKey::new(key.spec.clone(), rung, inner.topology_fp, inner.epoch);
-                    let alt_fp = alt.fingerprint();
-                    if let Some(state) = inner.cache.probe_servable(alt_fp, &alt) {
-                        inner.stats.shed += 1;
-                        inner.note(alt_fp, 3);
-                        q.add("qserve/shed", 1);
-                        if probe {
-                            abort_probe(&mut inner, tenant_idx, now, req_id);
-                        }
-                        inner.ops.finish(
-                            req_id,
-                            tenant_idx,
-                            Stage::Shed,
-                            now,
-                            now,
-                            None,
-                            submitted.elapsed(),
+                match inner.breakers[tenant_idx].admit(now) {
+                    BreakerDecision::Admit => {}
+                    BreakerDecision::Probe => {
+                        probe = true;
+                        inner.ops.journal.push(
+                            JournalEvent::new(now, "breaker_probe")
+                                .tenant(tenant_idx as u32)
+                                .request(who.req_id),
                         );
-                        let outcome = Outcome::Shed { rungs: steps as u8 };
-                        return self.resolve(state, outcome, submitted);
+                    }
+                    BreakerDecision::Reject { retry_in } => {
+                        let tenant = request.tenant;
+                        let error = ServeError::CircuitOpen { tenant, retry_in };
+                        break 'gates Some((Outcome::BreakerOpen, fp, Err(error)));
                     }
                 }
-                inner.stats.rejected += 1;
-                inner.note(fp, 4);
-                q.add("qserve/rejected", 1);
-                if probe {
-                    abort_probe(&mut inner, tenant_idx, now, req_id);
-                }
-                let error = ServeError::Overloaded {
-                    queued: inner.queued,
-                    capacity: self.config.queue_capacity,
-                };
-                inner.ops.finish(
-                    req_id,
-                    tenant_idx,
-                    Stage::Rejected,
-                    now,
-                    now,
-                    Some(error.code()),
-                    submitted.elapsed(),
-                );
-                return self.reject_now(error, Outcome::Rejected, submitted);
-            }
-            if let Some(buckets) = inner.buckets.as_mut() {
-                if !buckets[tenant_idx].try_take(now) {
-                    inner.stats.throttled += 1;
-                    inner.note(fp, 7);
-                    q.add("qserve/throttled", 1);
-                    if probe {
-                        abort_probe(&mut inner, tenant_idx, now, req_id);
+                if inner.queued >= self.config.queue_capacity {
+                    // Shed: serve a cached cheaper rung before
+                    // rejecting. A negatively cached rung is no
+                    // substitute — serving one key's error for another
+                    // key's request helps nobody — and the probe is
+                    // read-only: an expired negative rung keeps its
+                    // strike history for its own next admission (see
+                    // [`ArtifactCache::probe_servable`]).
+                    for (steps, rung) in key.options.ladder().into_iter().enumerate().skip(1) {
+                        let alt =
+                            CacheKey::new(key.spec.clone(), rung, inner.topology_fp, inner.epoch);
+                        let alt_fp = alt.fingerprint();
+                        if let Some(state) = inner.cache.probe_servable(alt_fp, &alt) {
+                            let shed = Outcome::Shed { rungs: steps as u8 };
+                            break 'gates Some((shed, alt_fp, Ok(state)));
+                        }
                     }
+                    let error = ServeError::Overloaded {
+                        queued: inner.queued,
+                        capacity: self.config.queue_capacity,
+                    };
+                    break 'gates Some((Outcome::Rejected, fp, Err(error)));
+                }
+                let throttled = inner
+                    .buckets
+                    .as_mut()
+                    .is_some_and(|buckets| !buckets[tenant_idx].try_take(now));
+                throttled.then(|| {
                     let error = ServeError::Throttled {
                         tenant: request.tenant,
                     };
-                    inner.ops.finish(
-                        req_id,
-                        tenant_idx,
-                        Stage::Throttled,
-                        now,
-                        now,
-                        Some(error.code()),
-                        submitted.elapsed(),
-                    );
-                    return self.reject_now(error, Outcome::Throttled, submitted);
-                }
+                    (Outcome::Throttled, fp, Err(error))
+                })
+            };
+            if let Some((outcome, fp, served)) = early {
+                return self.exit_early(&mut inner, &who, probe, outcome, fp, served);
             }
         }
 
-        inner.stats.misses += 1;
         inner.ops.tenants[tenant_idx].misses += 1;
-        inner.note(fp, 1);
-        q.add("qserve/cache/misses", 1);
+        inner.ops.note(fp, 1);
         let completion = Arc::new(Completion::default());
         let (id, evicted) = inner
             .cache
             .reserve(fp, key.clone(), Arc::clone(&completion));
-        if !evicted.is_empty() {
-            inner.stats.evictions += evicted.len() as u64;
-            q.add("qserve/cache/evictions", evicted.len() as u64);
-            if let Some(store) = &self.shared.spill {
-                for victim in evicted {
-                    store.unlink(victim);
-                }
+        if let Some(store) = &self.shared.spill {
+            for victim in evicted {
+                store.unlink(victim);
             }
         }
         let fault_seq = inner.next_fault_seq;
@@ -900,14 +792,12 @@ impl Service {
         let job = Job {
             fp,
             id,
-            req_id,
             key,
             spec_fp,
             tenant: request.tenant,
             seed: request.seed,
             deadline: request.deadline.map(|d| now + d),
-            admit_tick: now,
-            admit_at: submitted,
+            origin: who,
             fault_seq,
             strikes,
             probe,
@@ -925,14 +815,14 @@ impl Service {
         };
         match mode {
             AdmitMode::Queue => {
-                inner.ops.lifecycle.push(req_id, Stage::Queued, now);
+                inner.ops.lifecycle.push(who.req_id, Stage::Queued, now);
                 inner.queues[tenant_idx].push_back(job);
                 inner.queued += 1;
                 drop(inner);
                 self.shared.work.notify_one();
             }
             AdmitMode::Inline => {
-                inner.ops.lifecycle.push(req_id, Stage::Dispatched, now);
+                inner.ops.lifecycle.push(who.req_id, Stage::Dispatched, now);
                 drop(inner);
                 execute(&self.shared, job);
             }
@@ -940,13 +830,54 @@ impl Service {
         ticket
     }
 
-    /// A pre-resolved failure ticket (reject or fail-fast).
-    fn reject_now(&self, error: ServeError, outcome: Outcome, submitted: Instant) -> Ticket<'_> {
+    /// The one fail-fast exit of [`Service::admit`]: the request ends at
+    /// admission without queueing a compile, either shed onto the
+    /// cached ladder rung `fp` (`Ok`) or refused with an error. Folds
+    /// the outcome into the sequence fingerprint, returns a consumed
+    /// half-open `probe` slot, records the lifecycle terminal (which
+    /// counts the outcome in the tenant registry) and resolves the
+    /// ticket.
+    fn exit_early(
+        &self,
+        inner: &mut Inner,
+        who: &Requester,
+        probe: bool,
+        outcome: Outcome,
+        fp: u64,
+        served: Result<SlotState, ServeError>,
+    ) -> Ticket<'_> {
+        let (stage, code) = match outcome {
+            Outcome::Shed { .. } => (Stage::Shed, 3),
+            Outcome::Rejected => (Stage::Rejected, 4),
+            Outcome::Quarantined => (Stage::Quarantined, 5),
+            Outcome::BreakerOpen => (Stage::CircuitOpen, 6),
+            Outcome::Throttled => (Stage::Throttled, 7),
+            Outcome::Hit | Outcome::Miss => unreachable!("hits and misses are not fail-fast"),
+        };
+        inner.ops.note(fp, code);
+        if probe {
+            abort_probe(inner, who.tenant, who.admit_tick, who.req_id);
+        }
+        let error = served.as_ref().err().map(ServeError::code);
+        inner.ops.finish(who, stage, who.admit_tick, error);
+        match served {
+            Ok(state) => self.resolve(state, outcome, who.admit_at),
+            Err(error) => self.ready(Err(error), outcome, who.admit_at),
+        }
+    }
+
+    /// A ticket resolved at admission, taking the next served order.
+    fn ready(
+        &self,
+        result: Result<Arc<CompiledArtifact>, ServeError>,
+        outcome: Outcome,
+        submitted: Instant,
+    ) -> Ticket<'_> {
         let served_order = self.shared.served.fetch_add(1, Ordering::SeqCst) + 1;
         Ticket {
             _service: self,
             state: TicketState::Ready(Response {
-                result: Err(error),
+                result,
                 outcome,
                 served_order,
                 latency: submitted.elapsed(),
@@ -954,36 +885,24 @@ impl Service {
         }
     }
 
+    /// A ticket for a cache slot: resolved when the slot is, pending on
+    /// its completion otherwise.
     fn resolve(&self, state: SlotState, outcome: Outcome, submitted: Instant) -> Ticket<'_> {
-        let state = match state {
-            SlotState::Ready(artifact) => {
-                let served_order = self.shared.served.fetch_add(1, Ordering::SeqCst) + 1;
-                TicketState::Ready(Response {
-                    result: Ok(artifact),
-                    outcome,
-                    served_order,
-                    latency: submitted.elapsed(),
-                })
+        let result = match state {
+            SlotState::Ready(artifact) => Ok(artifact),
+            SlotState::Failed { error, .. } => Err(error),
+            SlotState::Pending(completion) => {
+                return Ticket {
+                    _service: self,
+                    state: TicketState::Pending {
+                        completion,
+                        outcome,
+                        submitted,
+                    },
+                }
             }
-            SlotState::Failed { error, .. } => {
-                let served_order = self.shared.served.fetch_add(1, Ordering::SeqCst) + 1;
-                TicketState::Ready(Response {
-                    result: Err(error),
-                    outcome,
-                    served_order,
-                    latency: submitted.elapsed(),
-                })
-            }
-            SlotState::Pending(completion) => TicketState::Pending {
-                completion,
-                outcome,
-                submitted,
-            },
         };
-        Ticket {
-            _service: self,
-            state,
-        }
+        self.ready(result, outcome, submitted)
     }
 
     /// Swaps in a new calibration table (or removes it), bumps the
@@ -1001,16 +920,12 @@ impl Service {
         let topology = inner.context.topology().clone();
         inner.context = Arc::new(HardwareContext::from_parts(topology, calibration));
         inner.epoch += 1;
-        inner.stats.epoch_bumps += 1;
+        inner.epoch_bumps += 1;
         let dropped = inner.cache.invalidate_calibration_dependent();
-        inner.stats.invalidated += dropped.len() as u64;
         let reload_event = JournalEvent::new(inner.now, "calibration_reload")
             .field("epoch", inner.epoch)
             .field("invalidated", dropped.len() as u64);
         inner.ops.journal.push(reload_event);
-        let q = qtrace::global();
-        q.add("qserve/epoch_bumps", 1);
-        q.add("qserve/cache/invalidated", dropped.len() as u64);
         if let Some(store) = &self.shared.spill {
             for victim in &dropped {
                 store.unlink(*victim);
@@ -1041,14 +956,7 @@ impl Service {
     /// A snapshot of the deterministic service counters.
     pub fn stats(&self) -> ServiceStats {
         let inner = self.shared.inner.lock().expect("service lock");
-        let mut stats = inner.stats;
-        stats.epoch = inner.epoch;
-        stats.cached_entries = inner.cache.len();
-        stats.queued = inner.queued;
-        stats.quarantined_specs = inner.poison.len() as u64;
-        stats.breakers_open = inner.breakers.iter().filter(|b| b.is_open()).count() as u64;
-        stats.now_tick = inner.now;
-        stats
+        inner.stats(self.shared.spill.as_ref())
     }
 
     /// Runs one queued job inline on the calling thread, if any. With
@@ -1068,24 +976,60 @@ impl Service {
         }
     }
 
-    /// Emits the admission-sequence fingerprint and cache occupancy as
-    /// qtrace gauges. Call once before draining a manifest: two runs
-    /// with equal `qserve/cache/sequence_fp` gauges served identical
-    /// outcome sequences. The gauge carries the 32-bit xor-fold of
-    /// [`ServiceStats::sequence_fp`] — manifest numbers must stay
+    /// Emits the `qserve/*` qtrace series from one [`ServiceStats`]
+    /// snapshot, plus the per-tenant and per-spec series of the ops
+    /// registry. Counters accumulate in the recorder, so call it once
+    /// per service before draining a manifest. Counters are emitted only
+    /// when nonzero — so fault-free manifests carry no fault-plane
+    /// series — except `qserve/cache/invalidated`, which every service
+    /// that reloaded calibration emits, even at 0. Two runs with equal
+    /// `qserve/cache/sequence_fp` gauges served identical outcome
+    /// sequences; the gauge carries the 32-bit xor-fold of
+    /// [`ServiceStats::sequence_fp`], because manifest numbers must stay
     /// exactly representable as f64 (`qtrace::json` rejects integers
-    /// beyond 2^53 on read-back), and the fold preserves sensitivity to
-    /// every admission in the sequence. Fault-plane gauges are emitted
-    /// only when nonzero, so fault-free manifests are byte-identical to
-    /// pre-fault-plane baselines.
+    /// beyond 2^53 on read-back) and the fold keeps sensitivity to
+    /// every admission in the sequence.
     pub fn flush_telemetry(&self) {
         let inner = self.shared.inner.lock().expect("service lock");
-        let fp = inner.stats.sequence_fp;
+        let s = inner.stats(self.shared.spill.as_ref());
         let q = qtrace::global();
+        let nonzero = |value: u64| (value > 0).then_some(value);
+        let counters = [
+            ("qserve/requests", nonzero(s.requests)),
+            ("qserve/cache/hits", nonzero(s.hits)),
+            ("qserve/cache/misses", nonzero(s.misses)),
+            ("qserve/cache/evictions", nonzero(s.evictions)),
+            // A reload emits its count even when it dropped nothing.
+            (
+                "qserve/cache/invalidated",
+                (s.epoch_bumps > 0).then_some(s.invalidated),
+            ),
+            ("qserve/shed", nonzero(s.shed)),
+            ("qserve/rejected", nonzero(s.rejected)),
+            ("qserve/epoch_bumps", nonzero(s.epoch_bumps)),
+            ("qserve/negative/expired", nonzero(s.negative_expired)),
+            ("qserve/quarantine/rejects", nonzero(s.quarantine_rejects)),
+            ("qserve/quarantine/new", nonzero(s.quarantine_adds)),
+            ("qserve/breaker/rejects", nonzero(s.breaker_rejects)),
+            ("qserve/breaker/trips", nonzero(s.breaker_trips)),
+            ("qserve/throttled", nonzero(s.throttled)),
+            ("qserve/deadline/reaped", nonzero(s.deadline_reaped)),
+            ("qserve/deadline/cancelled", nonzero(s.cancelled)),
+            ("qserve/spill/saved", nonzero(s.spill_saved)),
+            ("qserve/spill/recovered", nonzero(s.spill_recovered)),
+            ("qserve/spill/corrupt", nonzero(s.spill_corrupt)),
+            ("qserve/spill/stale", nonzero(s.spill_stale)),
+        ];
+        for (name, value) in counters {
+            if let Some(value) = value {
+                q.add(name, value);
+            }
+        }
+        let fp = s.sequence_fp;
         q.gauge_max("qserve/cache/sequence_fp", (fp >> 32) ^ (fp & 0xffff_ffff));
-        q.gauge_max("qserve/cache/entries", inner.cache.len() as u64);
-        if inner.poison.len() > 0 {
-            q.gauge_max("qserve/quarantine/entries", inner.poison.len() as u64);
+        q.gauge_max("qserve/cache/entries", s.cached_entries as u64);
+        if s.quarantined_specs > 0 {
+            q.gauge_max("qserve/quarantine/entries", s.quarantined_specs);
         }
         inner.ops.flush_metrics(q);
         for (idx, breaker) in inner.breakers.iter().enumerate() {
@@ -1153,11 +1097,46 @@ enum AdmitMode {
 }
 
 impl Inner {
-    /// Folds one admission outcome into the order-sensitive sequence
-    /// fingerprint (FNV-style).
-    fn note(&mut self, fp: u64, code: u8) {
-        let fold = fp.rotate_left(u32::from(code) * 8) ^ u64::from(code);
-        self.stats.sequence_fp = (self.stats.sequence_fp ^ fold).wrapping_mul(0x100_0000_01b3);
+    /// The service counters, each read from the one structure that owns
+    /// it: per-request outcomes summed over the tenant registry,
+    /// per-event counts from the cache, deadline plane, poison ledger,
+    /// breakers and spill store.
+    fn stats(&self, spill: Option<&SpillStore>) -> ServiceStats {
+        let mut s = ServiceStats {
+            evictions: self.cache.evictions,
+            invalidated: self.cache.invalidated,
+            negative_expired: self.cache.negative_expired,
+            epoch_bumps: self.epoch_bumps,
+            epoch: self.epoch,
+            cached_entries: self.cache.len(),
+            queued: self.queued,
+            sequence_fp: self.ops.sequence_fp,
+            deadline_reaped: self.deadline_reaped,
+            cancelled: self.inflight.cancelled,
+            quarantined_specs: self.poison.len() as u64,
+            quarantine_adds: self.poison.added,
+            breaker_trips: self.breakers.iter().map(|b| b.trips).sum(),
+            breakers_open: self.breakers.iter().filter(|b| b.is_open()).count() as u64,
+            now_tick: self.now,
+            ..ServiceStats::default()
+        };
+        if let Some(store) = spill {
+            s.spill_saved = store.saved();
+            s.spill_recovered = store.recovered;
+            s.spill_corrupt = store.corrupt;
+            s.spill_stale = store.stale;
+        }
+        for m in &self.ops.tenants {
+            s.requests += m.requests;
+            s.hits += m.hits;
+            s.misses += m.misses;
+            s.shed += m.shed;
+            s.rejected += m.rejected;
+            s.quarantine_rejects += m.quarantined;
+            s.breaker_rejects += m.breaker_open;
+            s.throttled += m.throttled;
+        }
+        s
     }
 }
 
@@ -1191,59 +1170,35 @@ fn sweep_deadlines(inner: &mut Inner, served: &AtomicU64) {
             }
         }
     }
-    if !reaped.is_empty() {
-        inner.queued -= reaped.len();
-        inner.stats.deadline_reaped += reaped.len() as u64;
-        qtrace::global().add("qserve/deadline/reaped", reaped.len() as u64);
-        for job in reaped {
-            inner.cache.forget(job.fp, job.id);
-            let tenant_idx = job.tenant as usize % inner.breakers.len();
-            if job.probe {
-                // The probe never reached a worker, so no completion
-                // will decide it: return the slot instead of leaving
-                // the tenant's breaker wedged in half-open.
-                abort_probe(inner, tenant_idx, now, job.req_id);
-            }
-            let error = ServeError::DeadlineExceeded {
-                deadline: job.deadline.expect("reaped implies a deadline"),
-                now,
-            };
-            inner.ops.finish(
-                job.req_id,
-                tenant_idx,
-                Stage::Reaped,
-                job.admit_tick,
-                now,
-                Some(error.code()),
-                job.admit_at.elapsed(),
-            );
-            // Pending-hit waiters parked on this reservation share its
-            // fate: the completion below resolves them all with the
-            // same DeadlineExceeded, so their lifecycle terminal is the
-            // same reap at the same sweep tick.
-            for waiter in inner.ops.take_waiters(job.id) {
-                inner.ops.finish(
-                    waiter.req_id,
-                    waiter.tenant,
-                    Stage::Reaped,
-                    waiter.admit_tick,
-                    now,
-                    Some(error.code()),
-                    waiter.admit_at.elapsed(),
-                );
-            }
-            let served_order = served.fetch_add(1, Ordering::SeqCst) + 1;
-            let mut slot = job.completion.slot.lock().expect("completion lock");
-            *slot = Some((Err(error), served_order, Instant::now()));
-            drop(slot);
-            job.completion.ready.notify_all();
+    inner.queued -= reaped.len();
+    inner.deadline_reaped += reaped.len() as u64;
+    for job in reaped {
+        inner.cache.forget(job.fp, job.id);
+        if job.probe {
+            // The probe never reached a worker, so no completion will
+            // decide it: return the slot instead of leaving the
+            // tenant's breaker wedged in half-open.
+            abort_probe(inner, job.origin.tenant, now, job.origin.req_id);
         }
+        let error = ServeError::DeadlineExceeded {
+            deadline: job.deadline.expect("reaped implies a deadline"),
+            now,
+        };
+        // Pending-hit waiters parked on this reservation share its
+        // fate: the fill below resolves them all with the same
+        // DeadlineExceeded, so their terminal is the same reap at the
+        // same sweep tick.
+        inner.ops.settle(
+            &job.origin,
+            job.id,
+            Stage::Reaped,
+            Some(now),
+            Some(error.code()),
+        );
+        let served_order = served.fetch_add(1, Ordering::SeqCst) + 1;
+        job.completion.fill(Err(error), served_order);
     }
-    let cancelled = inner.inflight.sweep(now);
-    if cancelled > 0 {
-        inner.stats.cancelled += cancelled;
-        qtrace::global().add("qserve/deadline/cancelled", cancelled);
-    }
+    inner.inflight.sweep(now);
 }
 
 /// Round-robin pop across tenant queues, resuming after the last-served
@@ -1266,7 +1221,7 @@ fn pop_job(inner: &mut Inner) -> Option<Job> {
             inner
                 .ops
                 .lifecycle
-                .push(job.req_id, Stage::Dispatched, job.admit_tick);
+                .push(job.origin.req_id, Stage::Dispatched, job.origin.admit_tick);
             return Some(job);
         }
     }
@@ -1313,7 +1268,7 @@ fn execute(shared: &Shared, job: Job) {
         // fast and deterministic.
         if job
             .deadline
-            .is_some_and(|deadline| job.admit_tick + ticks > deadline)
+            .is_some_and(|deadline| job.origin.admit_tick + ticks > deadline)
         {
             job.token.cancel();
         }
@@ -1358,15 +1313,18 @@ fn execute(shared: &Shared, job: Job) {
     // Spill before publishing: recovery independently verifies bytes,
     // so an orphaned file (entry evicted mid-compile) is harmless and
     // unlinked below.
-    let mut spilled = false;
-    if let (Ok(artifact), Some(store)) = (&result, &shared.spill) {
-        spilled = store.save(job.fp, &job.key, artifact).is_ok();
-    }
+    let spilled = match (&result, &shared.spill) {
+        (Ok(artifact), Some(store)) => store
+            .save(job.fp, &job.key, artifact)
+            .is_ok()
+            .then_some(store),
+        _ => None,
+    };
     let served_order = shared.served.fetch_add(1, Ordering::SeqCst) + 1;
     let result = {
         let mut inner = shared.inner.lock().expect("service lock");
         let now = inner.now;
-        let q = qtrace::global();
+        let tenant_idx = job.origin.tenant;
         inner.inflight.complete(job.id);
         // Patch the completion tick into a deadline error.
         let result = match result {
@@ -1393,12 +1351,11 @@ fn execute(shared: &Shared, job: Job) {
             }
         };
         if let Some(expiry) = expires_at {
-            let tenant_idx = job.tenant as usize % inner.breakers.len();
             inner.ops.journal.push(
                 JournalEvent::new(now, "negative_strike")
                     .tenant(tenant_idx as u32)
                     .spec(job.spec_fp)
-                    .request(job.req_id)
+                    .request(job.origin.req_id)
                     .field("strikes", u64::from(strikes))
                     .field("ttl", expiry.saturating_sub(now)),
             );
@@ -1406,15 +1363,8 @@ fn execute(shared: &Shared, job: Job) {
         let live = inner
             .cache
             .complete(job.fp, job.id, &result, expires_at, strikes);
-        if spilled {
-            if live && result.is_ok() {
-                inner.stats.spill_saved += 1;
-                q.add("qserve/spill/saved", 1);
-            } else if let Some(store) = &shared.spill {
-                // The entry was evicted or invalidated mid-compile; its
-                // spill must not survive it.
-                store.unlink(job.fp);
-            }
+        if let Some(store) = spilled {
+            store.settle(job.fp, live);
         }
         // Poison ledger: panics and deadline timeouts strike the
         // *program*; enough of them quarantine it under every option
@@ -1426,9 +1376,7 @@ fn execute(shared: &Shared, job: Job) {
         } else {
             None
         };
-        let tenant_idx = job.tenant as usize % inner.breakers.len();
         if let Some(reason) = verdict {
-            q.add("qserve/quarantine/new", 1);
             let total = match reason {
                 QuarantineReason::Panicked { strikes } | QuarantineReason::TimedOut { strikes } => {
                     strikes
@@ -1438,7 +1386,7 @@ fn execute(shared: &Shared, job: Job) {
                 JournalEvent::new(now, "quarantine_add")
                     .tenant(tenant_idx as u32)
                     .spec(job.spec_fp)
-                    .request(job.req_id)
+                    .request(job.origin.req_id)
                     .note(reason.label())
                     .field("strikes", u64::from(total)),
             );
@@ -1446,76 +1394,43 @@ fn execute(shared: &Shared, job: Job) {
         // The tenant's breaker watches every compile completion.
         match inner.breakers[tenant_idx].record(now, result.is_ok()) {
             BreakerTransition::Tripped => {
-                inner.stats.breaker_trips += 1;
-                q.add("qserve/breaker/trips", 1);
                 inner.ops.journal.push(
                     JournalEvent::new(now, "breaker_trip")
                         .tenant(tenant_idx as u32)
-                        .request(job.req_id),
+                        .request(job.origin.req_id),
                 );
             }
             BreakerTransition::Closed => {
                 inner.ops.journal.push(
                     JournalEvent::new(now, "breaker_close")
                         .tenant(tenant_idx as u32)
-                        .request(job.req_id),
+                        .request(job.origin.req_id),
                 );
             }
             BreakerTransition::None => {}
         }
-        // Terminal lifecycle stamp. Completion/failure order across
-        // workers is scheduler-dependent, so scheduler-reached
-        // terminals are stamped with the admit tick; a deadline
+        // Terminal lifecycle stamp, shared with the pending-hit waiters
+        // parked on this reservation: the completion hands them this
+        // exact result. Completion/failure order across workers is
+        // scheduler-dependent, so scheduler-reached terminals are
+        // stamped with each request's admit tick; a deadline
         // cancellation is stamped with the deadline itself. Either way
         // the stamp is a pure function of the request stream.
-        let (stage, stamp, err) = match &result {
-            Ok(_) => (Stage::Completed, job.admit_tick, None),
-            Err(e @ ServeError::DeadlineExceeded { deadline, .. }) => {
-                (Stage::Cancelled, *deadline, Some(e.code()))
+        let (stage, stamp) = match &result {
+            Ok(_) => (Stage::Completed, None),
+            Err(ServeError::DeadlineExceeded { deadline, .. }) => {
+                (Stage::Cancelled, Some(*deadline))
             }
-            Err(e) => (Stage::Failed, job.admit_tick, Some(e.code())),
+            Err(_) => (Stage::Failed, None),
         };
-        inner.ops.finish(
-            job.req_id,
-            tenant_idx,
-            stage,
-            job.admit_tick,
-            stamp,
-            err,
-            job.admit_at.elapsed(),
-        );
-        // Settle the pending-hit waiters parked on this reservation:
-        // the completion below hands them this exact result, so each
-        // gets the same terminal stage and error code, stamped at its
-        // own admit tick (or the shared deadline for cancellations).
-        for waiter in inner.ops.take_waiters(job.id) {
-            let (stage, stamp, err) = match &result {
-                Ok(_) => (Stage::Completed, waiter.admit_tick, None),
-                Err(e @ ServeError::DeadlineExceeded { deadline, .. }) => {
-                    (Stage::Cancelled, *deadline, Some(e.code()))
-                }
-                Err(e) => (Stage::Failed, waiter.admit_tick, Some(e.code())),
-            };
-            inner.ops.finish(
-                waiter.req_id,
-                waiter.tenant,
-                stage,
-                waiter.admit_tick,
-                stamp,
-                err,
-                waiter.admit_at.elapsed(),
-            );
-        }
+        let error = result.as_ref().err().map(ServeError::code);
+        inner.ops.settle(&job.origin, job.id, stage, stamp, error);
         inner.ops.observe_execution(
             tenant_idx,
-            dispatched_at.saturating_duration_since(job.admit_at),
+            dispatched_at.saturating_duration_since(job.origin.admit_at),
             compile_elapsed,
         );
         result
     };
-    let resolved_at = Instant::now();
-    let mut slot = job.completion.slot.lock().expect("completion lock");
-    *slot = Some((result, served_order, resolved_at));
-    drop(slot);
-    job.completion.ready.notify_all();
+    job.completion.fill(result, served_order);
 }

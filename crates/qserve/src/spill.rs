@@ -21,6 +21,7 @@ use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::str::SplitWhitespace;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,18 +41,6 @@ const META_MAGIC: &str = "qspill-meta 1";
 /// filename), the full key, and the artifact.
 pub(crate) type RecoveredEntry = (u64, CacheKey, Arc<CompiledArtifact>);
 
-/// What a directory scan recovered and what it refused.
-#[derive(Debug, Default)]
-pub(crate) struct RecoveryReport {
-    /// Verified entries in sorted-filename order.
-    pub entries: Vec<RecoveredEntry>,
-    /// Files failing checksum/parse/fingerprint verification.
-    pub corrupt: u64,
-    /// Structurally valid files whose topology or calibration epoch no
-    /// longer matches (dropped, exactly like a reload would).
-    pub stale: u64,
-}
-
 /// The on-disk artifact store. All I/O is best-effort from the
 /// service's perspective: a failed save or unlink costs durability,
 /// never correctness, because recovery independently verifies every
@@ -59,17 +48,51 @@ pub(crate) struct RecoveryReport {
 #[derive(Debug)]
 pub(crate) struct SpillStore {
     dir: PathBuf,
+    /// Spills kept because their entry was still live when the compile
+    /// published (see [`SpillStore::settle`]).
+    saved: AtomicU64,
+    /// Entries the last [`SpillStore::recover`] scan brought back.
+    pub recovered: u64,
+    /// Files that scan refused on checksum/parse/fingerprint grounds.
+    pub corrupt: u64,
+    /// Structurally valid files that scan dropped because their
+    /// topology or calibration epoch no longer matches (exactly like a
+    /// reload would).
+    pub stale: u64,
 }
 
 impl SpillStore {
     /// Opens (creating if needed) the spill directory.
     pub fn new(dir: PathBuf) -> io::Result<SpillStore> {
         fs::create_dir_all(&dir)?;
-        Ok(SpillStore { dir })
+        Ok(SpillStore {
+            dir,
+            saved: AtomicU64::new(0),
+            recovered: 0,
+            corrupt: 0,
+            stale: 0,
+        })
     }
 
     fn artifact_path(&self, fp: u64) -> PathBuf {
         self.dir.join(format!("{fp:016x}.qart"))
+    }
+
+    /// Settles the spill written for entry `fp` once its compile has
+    /// published: kept (and counted as saved) while the entry is
+    /// `live`, unlinked when it was evicted or invalidated mid-compile
+    /// so a restart cannot resurrect it.
+    pub fn settle(&self, fp: u64, live: bool) {
+        if live {
+            self.saved.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.unlink(fp);
+        }
+    }
+
+    /// Spills kept since startup.
+    pub fn saved(&self) -> u64 {
+        self.saved.load(Ordering::Relaxed)
     }
 
     /// Serializes `(key, artifact)` under fingerprint `fp`.
@@ -136,15 +159,18 @@ impl SpillStore {
     /// still live under `topology_fp`. Epoch-keyed (VIC) entries are
     /// kept only when `vic_epoch` is `Some(e)` and matches theirs;
     /// `None` means calibration continuity could not be proven and
-    /// every VIC spill is dropped as stale.
-    pub fn recover(&self, topology_fp: u64, vic_epoch: Option<u64>) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
+    /// every VIC spill is dropped as stale. Returns the verified
+    /// entries in sorted-filename order and keeps the scan's tallies in
+    /// `recovered`, `corrupt` and `stale`.
+    pub fn recover(&mut self, topology_fp: u64, vic_epoch: Option<u64>) -> Vec<RecoveredEntry> {
+        let mut entries = Vec::new();
+        (self.corrupt, self.stale) = (0, 0);
         let mut names: Vec<PathBuf> = match fs::read_dir(&self.dir) {
             Ok(dir) => dir
                 .filter_map(|e| e.ok().map(|e| e.path()))
                 .filter(|p| p.extension().is_some_and(|x| x == "qart"))
                 .collect(),
-            Err(_) => return report,
+            Err(_) => Vec::new(),
         };
         names.sort();
         for path in names {
@@ -155,7 +181,7 @@ impl SpillStore {
             {
                 Some(fp) => fp,
                 None => {
-                    report.corrupt += 1;
+                    self.corrupt += 1;
                     continue;
                 }
             };
@@ -173,17 +199,18 @@ impl SpillStore {
                     };
                     let live = key.topology_fp == topology_fp && epoch_live;
                     if live {
-                        report.entries.push((fp, key, Arc::new(artifact)));
+                        entries.push((fp, key, Arc::new(artifact)));
                     } else {
-                        report.stale += 1;
+                        self.stale += 1;
                         let _ = fs::remove_file(&path);
                     }
                 }
-                Some(_) => report.corrupt += 1,
-                None => report.corrupt += 1,
+                Some(_) => self.corrupt += 1,
+                None => self.corrupt += 1,
             }
         }
-        report
+        self.recovered = entries.len() as u64;
+        entries
     }
 }
 
@@ -651,14 +678,14 @@ mod tests {
     #[test]
     fn save_and_recover_round_trips_key_and_artifact() {
         let dir = tmp("roundtrip");
-        let store = SpillStore::new(dir.clone()).unwrap();
+        let mut store = SpillStore::new(dir.clone()).unwrap();
         let (fp, key, artifact) = compile_entry(CompileOptions::vic().with_fallback(), 3);
         store.save(fp, &key, &artifact).unwrap();
 
-        let report = store.recover(key.topology_fp, Some(3));
-        assert_eq!((report.corrupt, report.stale), (0, 0));
-        assert_eq!(report.entries.len(), 1);
-        let (got_fp, got_key, got) = &report.entries[0];
+        let entries = store.recover(key.topology_fp, Some(3));
+        assert_eq!((store.corrupt, store.stale), (0, 0));
+        assert_eq!((entries.len(), store.recovered), (1, 1));
+        let (got_fp, got_key, got) = &entries[0];
         assert_eq!(*got_fp, fp);
         assert_eq!(got_key, &key);
         assert_eq!(got_key.fingerprint(), fp, "recomputed fingerprint matches");
@@ -687,26 +714,22 @@ mod tests {
     #[test]
     fn stale_epoch_and_foreign_topology_entries_are_dropped() {
         let dir = tmp("stale");
-        let store = SpillStore::new(dir.clone()).unwrap();
+        let mut store = SpillStore::new(dir.clone()).unwrap();
         let (fp, key, artifact) = compile_entry(CompileOptions::vic().with_fallback(), 3);
         store.save(fp, &key, &artifact).unwrap();
         // Epoch moved on: the VIC entry is stale and also deleted.
-        let report = store.recover(key.topology_fp, Some(4));
-        assert_eq!(report.entries.len(), 0);
-        assert_eq!(report.stale, 1);
-        let report = store.recover(key.topology_fp, Some(3));
-        assert_eq!(
-            report.entries.len(),
-            0,
-            "stale recovery deleted the file for good"
-        );
+        let entries = store.recover(key.topology_fp, Some(4));
+        assert_eq!(entries.len(), 0);
+        assert_eq!(store.stale, 1);
+        let entries = store.recover(key.topology_fp, Some(3));
+        assert_eq!(entries.len(), 0, "stale recovery deleted the file for good");
 
         // Epoch-free (IC) entries survive any epoch but not a topology swap.
         let (fp, key, artifact) = compile_entry(CompileOptions::ic(), 3);
         store.save(fp, &key, &artifact).unwrap();
-        assert_eq!(store.recover(key.topology_fp, Some(99)).entries.len(), 1);
-        let report = store.recover(key.topology_fp ^ 1, Some(3));
-        assert_eq!((report.entries.len(), report.stale), (0, 1));
+        assert_eq!(store.recover(key.topology_fp, Some(99)).len(), 1);
+        let entries = store.recover(key.topology_fp ^ 1, Some(3));
+        assert_eq!((entries.len(), store.stale), (0, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -714,20 +737,21 @@ mod tests {
     fn truncation_and_bitflips_are_detected_not_served() {
         use qhw::fault::{FaultInjector, SpillCorruption};
         let dir = tmp("corrupt");
-        let store = SpillStore::new(dir.clone()).unwrap();
+        let mut store = SpillStore::new(dir.clone()).unwrap();
         let (fp, key, artifact) = compile_entry(CompileOptions::ic(), 0);
         let path = dir.join(format!("{fp:016x}.qart"));
         let mut injector = FaultInjector::new(17);
         for kind in [SpillCorruption::Truncate, SpillCorruption::BitFlip] {
             store.save(fp, &key, &artifact).unwrap();
             injector.corrupt_spill_file(&path, kind).unwrap();
-            let report = store.recover(key.topology_fp, Some(0));
-            assert_eq!(report.entries.len(), 0, "{kind:?} must not serve");
-            assert_eq!(report.corrupt, 1, "{kind:?} counted as corrupt");
+            let entries = store.recover(key.topology_fp, Some(0));
+            assert_eq!(entries.len(), 0, "{kind:?} must not serve");
+            assert_eq!(store.corrupt, 1, "{kind:?} counted as corrupt");
         }
         // An empty (fully torn) file is corrupt, not a panic.
         std::fs::write(&path, "").unwrap();
-        assert_eq!(store.recover(key.topology_fp, Some(0)).corrupt, 1);
+        store.recover(key.topology_fp, Some(0));
+        assert_eq!(store.corrupt, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -70,6 +70,43 @@ fn deadlines_reap_queued_jobs_and_forget_reservations() {
     assert!(retry.wait().result.is_ok());
 }
 
+/// A pending-hit waiter parked on a queued job shares that job's
+/// deadline reap. The two counts differ on purpose: the deadline plane
+/// reaps one *job*, the tenant registry ends two *requests* as reaped.
+#[test]
+fn reaped_job_settles_its_parked_waiter_as_a_second_reaped_request() {
+    let service = Service::new(Topology::grid(2, 3), None, inline_config());
+    let request = Request::new(0, line_spec(6, 0), CompileOptions::ic(), 3);
+    let job = service.submit(request.clone().with_deadline(2));
+    let waiter = service.submit(request);
+    assert_eq!(
+        (job.outcome(), waiter.outcome()),
+        (Outcome::Miss, Outcome::Hit)
+    );
+
+    service.advance(5);
+    for ticket in [job, waiter] {
+        assert!(matches!(
+            ticket.wait().result,
+            Err(ServeError::DeadlineExceeded { .. })
+        ));
+    }
+    let stats = service.stats();
+    assert_eq!((stats.requests, stats.misses, stats.hits), (2, 1, 1));
+    assert_eq!(stats.deadline_reaped, 1, "one job was reaped");
+
+    let q = qtrace::global();
+    q.enable();
+    service.flush_telemetry();
+    q.disable();
+    let manifest = q.take_manifest("reap");
+    assert_eq!(manifest.counters["qserve/deadline/reaped"], 1);
+    assert_eq!(
+        manifest.counters["qserve/tenant/0/reaped"], 2,
+        "the job's requester and its parked waiter both ended reaped"
+    );
+}
+
 #[test]
 fn stalled_compiles_cancel_at_the_deadline_in_flight() {
     // The first compile stalls 100 ticks — far past the 4-tick deadline
@@ -278,7 +315,10 @@ fn throttled_probe_returns_the_breaker_slot() {
         "the throttled probe was aborted, not leaked"
     );
     assert!(service.drain_one());
-    assert!(probe.wait().result.is_err(), "the probe compile still fails");
+    assert!(
+        probe.wait().result.is_err(),
+        "the probe compile still fails"
+    );
 }
 
 /// Same leak through the deadline plane: a queued probe reaped before
@@ -299,7 +339,10 @@ fn deadline_reaped_probe_returns_the_breaker_slot() {
 
     let ticket = service.submit(request(0));
     assert!(service.drain_one());
-    assert!(ticket.wait().result.is_err(), "one failure trips the breaker");
+    assert!(
+        ticket.wait().result.is_err(),
+        "one failure trips the breaker"
+    );
 
     // The probe queues with a deadline and nothing dequeues it
     // (workers: 0): the sweep reaps it before any worker reports.

@@ -16,7 +16,10 @@
 use proptest::prelude::*;
 use qcompile::{CompileError, CompileOptions, CphaseOp, QaoaSpec};
 use qhw::Topology;
-use qserve::{QuarantineReason, Request, ServeError, Service, ServiceConfig, Stage};
+use qserve::{
+    BucketConfig, Outcome, QuarantineReason, Request, RequestTrace, ServeError, Service,
+    ServiceConfig, Stage,
+};
 
 fn line_spec(n: usize, shift: usize) -> QaoaSpec {
     let ops = (0..n - 1)
@@ -74,9 +77,11 @@ proptest! {
 
     /// Conservation: `admitted == sum over terminal stages`, i.e. every
     /// admitted request's trace carries exactly one terminal stage, and
-    /// the log holds exactly one record per admission.
-    // `u64::is_multiple_of` needs Rust 1.87; the declared MSRV is 1.75.
-    #[allow(clippy::manual_is_multiple_of)]
+    /// the log holds exactly one record per admission. Derivation: each
+    /// [`qserve::ServiceStats`] outcome counter equals the lifecycle
+    /// log's tally of the matching terminal and the tickets' tally of
+    /// the matching [`Outcome`], and the seven admission classes add up
+    /// to `requests`.
     #[test]
     fn every_admitted_request_reaches_exactly_one_terminal(
         seed in 0u64..1_000_000,
@@ -86,6 +91,7 @@ proptest! {
         universe in 1usize..8,
         deadline in proptest::option::of(1u64..6),
         sweep_every in 2u64..5,
+        bucket in proptest::option::of(1u64..4),
     ) {
         let service = Service::new(
             Topology::grid(2, 3),
@@ -94,6 +100,10 @@ proptest! {
                 workers: 0,
                 queue_capacity,
                 tenants: tenants as usize,
+                bucket: bucket.map(|capacity| BucketConfig {
+                    capacity,
+                    refill_ticks: 4,
+                }),
                 ..ServiceConfig::default()
             },
         );
@@ -130,11 +140,8 @@ proptest! {
             }
         }
         while service.drain_one() {}
-        for ticket in tickets {
-            // Outcome itself is irrelevant here; waiting just proves
-            // every ticket resolved before the log is drained.
-            let _ = ticket.wait();
-        }
+        // Waiting proves every ticket resolved before the log is drained.
+        let outcomes: Vec<Outcome> = tickets.into_iter().map(|t| t.wait().outcome).collect();
 
         let stats = service.stats();
         let traces = service.take_lifecycle();
@@ -160,5 +167,59 @@ proptest! {
             .filter_map(|t| t.terminal())
             .count() as u64;
         prop_assert_eq!(terminals, stats.requests);
+
+        let classified = |want: fn(Outcome) -> bool| {
+            outcomes.iter().filter(|&&o| want(o)).count() as u64
+        };
+        let ended = |want: fn(&RequestTrace) -> bool| {
+            traces.iter().filter(|&t| want(t)).count() as u64
+        };
+        let queued = |t: &RequestTrace| t.stages.iter().any(|(s, _)| s == Stage::Queued);
+        let classes = [
+            (
+                stats.hits,
+                classified(|o| o == Outcome::Hit),
+                // Served from the cache: never queued, and settled with
+                // the slot's or the producing compile's terminal.
+                ended(|t| {
+                    !t.stages.iter().any(|(s, _)| s == Stage::Queued)
+                        && matches!(
+                            t.terminal(),
+                            Some(Stage::Completed | Stage::Failed | Stage::Cancelled | Stage::Reaped)
+                        )
+                }),
+            ),
+            (stats.misses, classified(|o| o == Outcome::Miss), ended(queued)),
+            (
+                stats.shed,
+                classified(|o| matches!(o, Outcome::Shed { .. })),
+                ended(|t| t.terminal() == Some(Stage::Shed)),
+            ),
+            (
+                stats.rejected,
+                classified(|o| o == Outcome::Rejected),
+                ended(|t| t.terminal() == Some(Stage::Rejected)),
+            ),
+            (
+                stats.quarantine_rejects,
+                classified(|o| o == Outcome::Quarantined),
+                ended(|t| t.terminal() == Some(Stage::Quarantined)),
+            ),
+            (
+                stats.breaker_rejects,
+                classified(|o| o == Outcome::BreakerOpen),
+                ended(|t| t.terminal() == Some(Stage::CircuitOpen)),
+            ),
+            (
+                stats.throttled,
+                classified(|o| o == Outcome::Throttled),
+                ended(|t| t.terminal() == Some(Stage::Throttled)),
+            ),
+        ];
+        for (i, (counter, by_outcome, by_terminal)) in classes.iter().enumerate() {
+            prop_assert_eq!(counter, by_outcome, "class {} vs ticket outcomes", i);
+            prop_assert_eq!(counter, by_terminal, "class {} vs lifecycle terminals", i);
+        }
+        prop_assert_eq!(classes.iter().map(|c| c.0).sum::<u64>(), stats.requests);
     }
 }
